@@ -408,36 +408,12 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_pipeline.json".to_string());
-    let serve_addr = args
-        .iter()
-        .position(|a| a == "--serve")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
 
     // The stage breakdowns ride on the pipeline's own telemetry spans;
     // the per-stage alloc sections need the allocation gate too (the
     // wrapper above is inert until this call).
     hpcpower_obs::enable();
     hpcpower_obs::enable_alloc_profiling();
-
-    // Optional live view of the bench: `--serve 127.0.0.1:0` samples the
-    // registry every 250 ms and serves /metrics etc. while the runs go.
-    // The per-run `hpcpower_obs::reset()` clears the window between
-    // configurations, so the endpoint always shows the current run.
-    let live = serve_addr.map(|addr| {
-        hpcpower_obs::enable_sampling();
-        hpcpower_obs::set_build_info(&git_sha(), env!("CARGO_PKG_VERSION"));
-        let sampler =
-            hpcpower_obs::Sampler::start_global(std::time::Duration::from_millis(250), None);
-        let server = hpcpower_obs::MetricsServer::start(
-            addr.as_str(),
-            hpcpower_obs::ServeState::global(),
-            hpcpower_obs::ServeOptions::default(),
-        )
-        .expect("bind --serve address");
-        eprintln!("live telemetry on http://{}", server.local_addr());
-        (sampler, server)
-    });
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cfg = if small {
@@ -461,10 +437,6 @@ fn main() {
     let serial = run_once(&cfg, &pcfg, 1);
     let parallel = run_once(&cfg, &pcfg, 0);
     let speedup = serial.total_s() / parallel.total_s();
-    if let Some((mut sampler, mut server)) = live {
-        sampler.stop();
-        server.stop();
-    }
 
     let run = obj(vec![
         ("git_sha", Value::Str(git_sha())),

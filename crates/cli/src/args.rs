@@ -3,8 +3,6 @@
 //! The CLI surface is small and fixed, so a hand-rolled parser keeps the
 //! dependency set to the workspace-approved crates.
 
-use std::collections::HashMap;
-
 /// Parsed command line: a subcommand, positional arguments, and flags.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -12,8 +10,9 @@ pub struct Args {
     pub command: Option<String>,
     /// Remaining positional words.
     pub positional: Vec<String>,
-    /// `--key value` pairs; bare `--key` stores an empty string.
-    flags: HashMap<String, String>,
+    /// `--key value` pairs in command-line order; bare `--key` stores an
+    /// empty string.
+    flags: Vec<(String, String)>,
 }
 
 impl Args {
@@ -32,9 +31,10 @@ impl Args {
                     Some(next) if !next.starts_with("--") => iter.next().unwrap_or_default(),
                     _ => String::new(),
                 };
-                if out.flags.insert(key.to_string(), value).is_some() {
+                if out.has(key) {
                     return Err(format!("duplicate flag --{key}"));
                 }
+                out.flags.push((key.to_string(), value));
             } else if out.command.is_none() {
                 out.command = Some(arg);
             } else {
@@ -51,12 +51,31 @@ impl Args {
 
     /// Whether a flag was given (with or without a value).
     pub fn has(&self, key: &str) -> bool {
-        self.flags.contains_key(key)
+        self.get(key).is_some()
     }
 
     /// String value of a flag.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(String::as_str)
+        self.flags
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Rejects the first flag (in command-line order) that is in
+    /// neither `global` nor `own`.
+    pub fn check_flags(&self, global: &[&str], own: &[&str]) -> Result<(), String> {
+        match self
+            .flags
+            .iter()
+            .find(|(k, _)| !global.contains(&k.as_str()) && !own.contains(&k.as_str()))
+        {
+            Some((key, _)) => Err(format!(
+                "unknown flag --{key} for `{}`",
+                self.command.as_deref().unwrap_or("help")
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Parsed value of a flag.
@@ -111,6 +130,16 @@ mod tests {
     #[test]
     fn duplicate_flag_rejected() {
         assert!(Args::parse(["--x".to_string(), "--x".to_string()]).is_err());
+    }
+
+    #[test]
+    fn check_flags_names_the_first_unknown_flag() {
+        let a = parse(&["simulate", "--seed", "7", "--seeed", "8", "--serve", ":0"]);
+        let err = a.check_flags(&["quiet"], &["seed"]).unwrap_err();
+        assert!(err.contains("--seeed"), "{err}");
+        assert!(a.check_flags(&[], &["seed", "seeed", "serve"]).is_ok());
+        let g = parse(&["predict", "--threads", "1"]);
+        assert!(g.check_flags(&["threads"], &["data"]).is_ok());
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! | 0    | success                                                    |
 //! | 2    | usage / invalid input (bad flags, unparsable data, budget) |
 //! | 3    | `bench diff --fail-on-regress` gate tripped                |
-//! | 4    | `alerts eval` ended with a rule firing (or one that fired) |
 //! | 5    | unrecoverable I/O or corruption (also: watchdog stall on a |
 //! |      | non-checkpointed run)                                      |
 //! | 6    | resumable interrupt: a checkpointed run stopped at a chunk |
 //! |      | boundary — rerun with `--resume RUN_DIR`                   |
+//!
+//! Code 4 is unassigned; the other codes keep their numbers because
+//! scripts and the chaos drills depend on them.
 
 use hpcpower_sim::CheckpointError;
 
@@ -17,8 +19,6 @@ use hpcpower_sim::CheckpointError;
 pub const EXIT_USAGE: i32 = 2;
 /// Exit code for a gated benchmark regression.
 pub const EXIT_BENCH_REGRESS: i32 = 3;
-/// Exit code when `alerts eval` ends with a rule firing.
-pub const EXIT_ALERTS_FIRING: i32 = 4;
 /// Exit code for unrecoverable I/O or corruption.
 pub const EXIT_IO: i32 = 5;
 /// Exit code for a resumable interrupt of a checkpointed run.
@@ -33,8 +33,6 @@ pub enum CliError {
     Usage(String),
     /// Benchmark gate tripped — exit 3.
     BenchRegress(String),
-    /// Alert rule(s) firing — exit 4.
-    AlertsFiring(String),
     /// Unrecoverable I/O or corruption — exit 5.
     Io(String),
     /// Resumable interrupt (checkpointed run) — exit 6.
@@ -47,7 +45,6 @@ impl CliError {
         match self {
             CliError::Usage(_) => EXIT_USAGE,
             CliError::BenchRegress(_) => EXIT_BENCH_REGRESS,
-            CliError::AlertsFiring(_) => EXIT_ALERTS_FIRING,
             CliError::Io(_) => EXIT_IO,
             CliError::Interrupted(_) => EXIT_INTERRUPTED,
         }
@@ -64,7 +61,6 @@ impl std::fmt::Display for CliError {
         match self {
             CliError::Usage(m)
             | CliError::BenchRegress(m)
-            | CliError::AlertsFiring(m)
             | CliError::Io(m)
             | CliError::Interrupted(m) => write!(f, "{m}"),
         }
@@ -101,7 +97,6 @@ mod tests {
     fn exit_codes_match_the_table() {
         assert_eq!(CliError::Usage(String::new()).exit_code(), 2);
         assert_eq!(CliError::BenchRegress(String::new()).exit_code(), 3);
-        assert_eq!(CliError::AlertsFiring(String::new()).exit_code(), 4);
         assert_eq!(CliError::Io(String::new()).exit_code(), 5);
         assert_eq!(CliError::Interrupted(String::new()).exit_code(), 6);
     }

@@ -14,7 +14,6 @@ mod args;
 mod benchdiff;
 mod chaos;
 mod errors;
-mod live;
 mod profile;
 mod watchdog;
 
@@ -24,8 +23,6 @@ mod watchdog;
 #[global_allocator]
 static ALLOC: hpcpower_obs::ProfiledAllocator = hpcpower_obs::ProfiledAllocator;
 
-use std::fs::File;
-use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -76,24 +73,11 @@ GLOBAL FLAGS:
                      output bytes are unaffected.
   --quiet            Suppress progress and telemetry chatter on stderr
                      (stdout and --metrics-out files are unaffected).
-  --serve ADDR       Serve live telemetry over HTTP while the command
-                     runs (GET /metrics /healthz /snapshot /alerts
-                     /quit). ADDR like 127.0.0.1:9090, or :0 for an
-                     ephemeral port (printed to stderr). Command output
-                     bytes are unaffected.
-  --serve-hold       With --serve: after the command finishes, keep
-                     serving until GET /quit.
   --stage-timeout S  Watchdog: abort the process when no pipeline
                      progress heartbeat lands for S seconds. Exits 6
                      (resumable) when the run is checkpointed, else 5.
-  --sample-interval-ms N  Sampling period of the sliding-window store
-                     behind --serve (default 250).
-  --addr-file PATH   With --serve: write the bound address to PATH.
-  --alert RULES      Alert rules evaluated each sample, e.g.
-                     \"hot:sim.cluster.power_watts>50000@3\" (comma- or
-                     semicolon-separated; rate(...)/burn(...) wrap the
-                     metric for rate-of-change/burn-rate rules).
-  --rules PATH       Alert rules file, one rule per line ('#' comments).
+
+A flag that is neither global nor listed under the command exits 2.
 
 COMMANDS:
   simulate   Generate a calibrated cluster trace and write it to disk
@@ -141,29 +125,11 @@ COMMANDS:
                                     data-quality section to the report
   compare    Two-system report including the Fig. 4 app comparison
              --a PATH --b PATH
+             --splits N             prediction splits (default 3)
   predict    Train the BDT on a dataset and predict one submission
              --data PATH --user U --nodes N --walltime-h H
   powercap   Static power-cap what-if sweep
              --data PATH
-  obs serve  Serve a collected metrics document (or this process's live
-             registry) over HTTP
-             --addr A               bind address (default 127.0.0.1:0)
-             --metrics PATH         replay a --metrics-out JSON document
-                                    (static mode: /metrics is byte-for-
-                                    byte `obs render --format prom`)
-             --interval-ms N        sampling period (default 1000)
-             --alert R | --rules P  alert rules (see global flags)
-             --duration-s S         stop after S seconds (default: wait
-                                    for GET /quit)
-             --addr-file PATH       write the bound address to PATH
-  obs render Re-render a collected metrics JSON document
-             --metrics PATH --format prom|json|text   (default prom)
-  obs lint   Lint a Prometheus text exposition file (exit 2 on error)
-  alerts eval  Replay a metrics JSON (or JSONL, one document per line)
-             through the alert engine; exit 4 if any rule fires
-             --metrics PATH         document(s) to replay (required)
-             --alert R | --rules P  rules (at least one required)
-             --json                 print engine state as JSON
   profile report  Top-N self-time/self-bytes table of a profile written
              by --profile-out (folded or speedscope; SVG is render-only)
              --profile PATH         profile to read (required)
@@ -192,10 +158,42 @@ COMMANDS:
 
 EXIT CODES:
   0 success; 2 usage or invalid input; 3 bench regression gate;
-  4 alert rule firing; 5 unrecoverable I/O, corruption, or a stalled
-  non-checkpointed run; 6 resumable interrupt — a checkpointed run
-  stopped at a chunk boundary, rerun with --resume RUN_DIR.
+  5 unrecoverable I/O, corruption, or a stalled non-checkpointed run;
+  6 resumable interrupt — a checkpointed run stopped at a chunk
+  boundary, rerun with --resume RUN_DIR.
 ";
+
+/// Flags every command accepts: threading, telemetry files, and
+/// supervision.
+const GLOBAL_FLAGS: &[&str] = &[
+    "threads", "quiet", "metrics-out", "metrics-format", "trace-out", "log-format",
+    "profile-out", "stage-timeout",
+];
+
+/// The flags `command` takes on top of [`GLOBAL_FLAGS`], or `None` for
+/// an unknown command (which dispatch rejects by name).
+fn command_flags(command: Option<&str>) -> Option<&'static [&'static str]> {
+    Some(match command {
+        Some("simulate") => &[
+            "system", "seed", "nodes", "days", "users", "out", "swf", "faults",
+            "checkpoint-dir", "chunk-jobs", "resume", "chaos-kill-after-chunk",
+            "chaos-stall-at-chunk", "chaos-stall-ms",
+        ],
+        Some("ingest") => &[
+            "jobs", "system", "spec", "nodes", "strict", "lenient", "error-budget",
+            "repair-policy", "out", "json",
+        ],
+        Some("analyze") => &["data", "splits", "json", "repair-policy"],
+        Some("compare") => &["a", "b", "splits"],
+        Some("predict") => &["data", "user", "nodes", "walltime-h"],
+        Some("powercap") => &["data"],
+        Some("bench") => &["bench", "baseline", "fail-on-regress"],
+        Some("profile") => &["profile", "a", "b", "top"],
+        Some("chaos") => &["scenario", "dir", "keep"],
+        Some("help") | None => &[],
+        Some(_) => return None,
+    })
+}
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
@@ -550,14 +548,6 @@ fn cmd_powercap(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Quick structural check that a jobs.csv is readable (used by --check).
-#[allow(dead_code)]
-fn check_csv(path: &Path) -> Result<usize, String> {
-    let file = File::open(path).map_err(|e| e.to_string())?;
-    let (jobs, _) = csv::read_jobs(BufReader::new(file)).map_err(|e| e.to_string())?;
-    Ok(jobs.len())
-}
-
 /// Telemetry options parsed from the global flags. Telemetry is enabled
 /// iff `--metrics-out`, `--trace-out`, `--log-format`, or
 /// `--profile-out` is given; otherwise every instrumentation point in
@@ -695,6 +685,11 @@ impl Telemetry {
 
 fn main() {
     let args = Args::from_env().unwrap_or_else(|e| fail(e));
+    if let Some(own) = command_flags(args.command.as_deref()) {
+        if let Err(e) = args.check_flags(GLOBAL_FLAGS, own) {
+            fail(e);
+        }
+    }
     let telemetry = Telemetry::from_args(&args).unwrap_or_else(|e| fail(e));
     if let Some(t) = &telemetry {
         hpcpower_obs::enable();
@@ -705,8 +700,6 @@ fn main() {
             hpcpower_obs::enable_alloc_profiling();
         }
     }
-    // Global --serve: live sampler + HTTP endpoint riding the command.
-    let live = live::LiveService::from_args(&args).unwrap_or_else(|e| fail(e));
     // Global --stage-timeout: arm the heartbeat watchdog. A stall on a
     // checkpointed simulate exits 6 (the run directory resumes exactly
     // where it stopped); anything else exits 5.
@@ -735,8 +728,6 @@ fn main() {
         Some("powercap") => hpcpower_obs::time("powercap", || cmd_powercap(&args)),
         Some("bench") => benchdiff::cmd_bench(&args),
         Some("profile") => profile::cmd_profile(&args),
-        Some("obs") => live::cmd_obs(&args),
-        Some("alerts") => live::cmd_alerts(&args),
         Some("chaos") => chaos::cmd_chaos(&args),
         Some("help") | None => {
             print!("{HELP}");
@@ -744,17 +735,11 @@ fn main() {
         }
         Some(other) => Err(CliError::Usage(format!("unknown command {other:?}"))),
     };
-    // Supervision ends with the command body: the tail work below
-    // (holds, file writes) produces no heartbeats and must not trip it.
+    // Supervision ends with the command body: the file writes below
+    // produce no heartbeats and must not trip it.
     if let Some(s) = supervisor {
         s.stop();
     }
-    // The live service ends (and its alert summary prints) before the
-    // telemetry files are written, so they include its meta-metrics.
-    let result = result.and_then(|()| match live {
-        Some(s) => s.finish().map_err(CliError::from),
-        None => Ok(()),
-    });
     let result = result.and_then(|()| match &telemetry {
         Some(t) => t.emit().map_err(CliError::from),
         None => Ok(()),
@@ -768,9 +753,7 @@ fn main() {
                 eprintln!("run `hpcpower help` for usage");
             }
             CliError::Io(msg) => eprintln!("error: {msg}"),
-            CliError::BenchRegress(msg)
-            | CliError::AlertsFiring(msg)
-            | CliError::Interrupted(msg) => eprintln!("{msg}"),
+            CliError::BenchRegress(msg) | CliError::Interrupted(msg) => eprintln!("{msg}"),
         }
         std::process::exit(e.exit_code());
     }

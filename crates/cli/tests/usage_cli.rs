@@ -1,0 +1,57 @@
+//! Usage errors: every command accepts the global flags plus its own,
+//! and anything else exits 2 naming the offending flag before any work
+//! is done.
+
+use std::process::{Command, Output};
+
+fn run(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_hpcpower"))
+        .args(args)
+        .output()
+        .expect("spawn hpcpower")
+}
+
+fn assert_usage_error(args: &[&str], needle: &str) {
+    let out = run(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "hpcpower {args:?}: {stderr}");
+    assert!(stderr.contains(needle), "hpcpower {args:?} must name {needle}: {stderr}");
+}
+
+/// A misspelt flag stops the run before anything is written, rather
+/// than running silently with the default seed.
+#[test]
+fn misspelt_flag_exits_2_and_writes_nothing() {
+    let out_dir = std::env::temp_dir().join(format!("hpcpower-usage-{}", std::process::id()));
+    let out_str = out_dir.to_str().unwrap();
+    assert_usage_error(
+        &[
+            "simulate", "--seeed", "7", "--nodes", "16", "--days", "2", "--users", "8", "--out",
+            out_str,
+        ],
+        "--seeed",
+    );
+    assert!(!out_dir.exists(), "a rejected command must not write its outputs");
+}
+
+#[test]
+fn removed_live_service_flag_exits_2() {
+    assert_usage_error(
+        &["simulate", "--serve", ":0", "--nodes", "16", "--days", "2", "--users", "8"],
+        "--serve",
+    );
+}
+
+/// A flag is checked against the command it is given to, not against
+/// the union of all commands.
+#[test]
+fn another_commands_flag_exits_2() {
+    assert_usage_error(&["analyze", "--data", "x.json", "--swf"], "--swf");
+}
+
+#[test]
+fn removed_commands_are_unknown() {
+    for cmd in ["obs", "alerts"] {
+        assert_usage_error(&[cmd], "unknown command");
+    }
+}

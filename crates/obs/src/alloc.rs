@@ -9,8 +9,8 @@
 //! static ALLOC: hpcpower_obs::ProfiledAllocator = hpcpower_obs::ProfiledAllocator;
 //! ```
 //!
-//! Recording is behind its own enable gate (the fourth one, next to the
-//! registry, timeline, and sampling gates): with the gate off — the
+//! Recording is behind its own enable gate (the third one, next to the
+//! registry and timeline gates): with the gate off — the
 //! default — every allocator call costs the underlying `System` call
 //! plus **one relaxed atomic load**, asserted by
 //! `tests/overhead.rs`. Installing the wrapper in a binary that never

@@ -89,18 +89,10 @@ pub fn chrome_trace(snap: &TimelineSnapshot) -> String {
         }
         out.push_str("}}");
     }
-    let build = match crate::build_info() {
-        Some(bi) => format!(
-            ",\"git_sha\": \"{}\",\"version\": \"{}\"",
-            escape_json(&bi.git_sha),
-            escape_json(&bi.version)
-        ),
-        None => String::new(),
-    };
     let _ = write!(
         out,
         "\n],\n\"displayTimeUnit\": \"ms\",\n\"metadata\": {{\
-         \"events_recorded\": {},\"events_dropped\": {},\"events_unmatched\": {unmatched}{build}}}\n}}\n",
+         \"events_recorded\": {},\"events_dropped\": {},\"events_unmatched\": {unmatched}}}\n}}\n",
         snap.events.len(),
         snap.dropped,
     );
@@ -148,27 +140,10 @@ fn escape_help(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-/// Escapes a label value per the exposition format: `\`, `"`, and
-/// line feeds must be backslash-escaped (one more case than HELP
-/// text, since label values are double-quoted).
-pub fn escape_label_value(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-}
-
 /// Renders a registry snapshot in the Prometheus text exposition
 /// format v0.0.4.
 pub fn prometheus(snap: &Snapshot) -> String {
     let mut out = String::new();
-    if let Some(bi) = &snap.build_info {
-        let _ = writeln!(out, "# HELP hpcpower_build_info Build identity of the emitting binary");
-        let _ = writeln!(out, "# TYPE hpcpower_build_info gauge");
-        let _ = writeln!(
-            out,
-            "hpcpower_build_info{{git_sha=\"{}\",version=\"{}\"}} 1",
-            escape_label_value(&bi.git_sha),
-            escape_label_value(&bi.version)
-        );
-    }
     for (name, v) in &snap.counters {
         let pname = format!("{}_total", sanitize_metric_name(name));
         let _ = writeln!(out, "# HELP {pname} Monotonic counter {}", escape_help(name));

@@ -1,7 +1,9 @@
 //! # hpcpower-obs
 //!
 //! Observability substrate for the HPC power suite, built from scratch
-//! (the workspace is offline, so no `tracing`/`metrics` dependency):
+//! (the workspace is offline, so no `tracing`/`metrics` dependency).
+//! Everything here inspects a run after the fact: the CLI writes out
+//! what was collected when the command ends.
 //!
 //! - **Spans** — [`span!`] opens an RAII guard that times a region of
 //!   code and folds `(count, total, min, max)` plus a log-bucketed
@@ -19,20 +21,29 @@
 //!   individual span begin/end events ([`timeline`]), exportable as
 //!   Chrome trace-event JSON ([`export::chrome_trace`]) for Perfetto /
 //!   `chrome://tracing`.
+//! - **Profiler** — [`ProfileGraph`] replays the timeline into a span
+//!   call tree (folded stacks, flamegraph SVG, speedscope JSON), and the
+//!   opt-in [`ProfiledAllocator`] attributes heap traffic to the
+//!   innermost open span ([`alloc`]).
 //! - **Sinks** — a [`Snapshot`] of the registry renders as a
 //!   human-readable text table, as JSON-lines (one metric per line), as
 //!   a single JSON document for `--metrics-out` files, or as Prometheus
 //!   text exposition v0.0.4 ([`export::prometheus`]); the format is
 //!   selected at runtime ([`LogFormat`], [`MetricsFormat`]).
+//! - **Supervision helpers** — the [`watchdog`] heartbeat behind
+//!   `--stage-timeout`, and the bounded [`retry`] loop the artifact
+//!   publisher uses.
 //!
 //! ## Overhead contract
 //!
 //! Telemetry is **off by default** and off-cheap: every entry point
 //! checks one relaxed atomic load and returns immediately when
 //! disabled — no locks, no allocation, no clock reads (asserted by the
-//! timing-ratio test in `tests/overhead.rs`). The timeline has a second
-//! gate on top: span events are only recorded when an exporter asked
-//! for them via [`enable_timeline`]. When enabled, instrumentation only
+//! timing-ratio test in `tests/overhead.rs`). There are three gates:
+//! the registry ([`enable`]), the timeline on top of it (span events are
+//! only recorded when an exporter asked for them via
+//! [`enable_timeline`]), and allocation attribution
+//! ([`enable_alloc_profiling`]). When enabled, instrumentation only
 //! *observes* (clock reads, counter folds); it never participates in
 //! pipeline computation, so report and dataset bytes are identical with
 //! observability on or off, at any thread count.
@@ -56,39 +67,30 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod alerts;
 pub mod alloc;
 pub mod export;
 pub mod profile;
 pub mod registry;
 pub mod retry;
-pub mod sampler;
-pub mod serve;
 pub mod sink;
 pub mod snapshot;
 pub mod span;
-pub mod store;
 pub mod timeline;
 pub mod watchdog;
 
 use std::sync::OnceLock;
-use std::time::Instant;
 
 use hpcpower_stats::Summary;
 
-pub use alerts::{AlertEngine, AlertKind, AlertOp, AlertRule, AlertState};
 pub use alloc::{AllocSnapshot, ProfiledAllocator, SlotSnapshot};
 pub use profile::{
     render_profile, FlatEntry, FlatProfile, ProfileFormat, ProfileGraph, ProfileNode,
 };
 pub use registry::{Histogram, Registry, SUBBUCKETS_PER_OCTAVE};
-pub use retry::{http_get_retry, is_transient, retry_io, RetryPolicy};
-pub use sampler::Sampler;
-pub use serve::{MetricsServer, ServeOptions, ServeState};
+pub use retry::{is_transient, retry_io, RetryPolicy};
 pub use sink::{render, render_metrics, LogFormat, MetricsFormat};
-pub use snapshot::{BuildInfo, HistogramSnapshot, Snapshot, SpanStats};
+pub use snapshot::{HistogramSnapshot, Snapshot, SpanStats};
 pub use span::SpanGuard;
-pub use store::{SamplePoint, WindowSnapshot, WindowStore};
 pub use timeline::{Timeline, TimelineEvent, TimelineSnapshot};
 
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
@@ -104,10 +106,8 @@ pub fn enabled() -> bool {
     global().is_enabled()
 }
 
-/// Turns telemetry collection on. Also pins the process-uptime epoch
-/// (see [`uptime_seconds`]) if this is the first call.
+/// Turns telemetry collection on.
 pub fn enable() {
-    process_epoch();
     global().set_enabled(true);
 }
 
@@ -115,14 +115,6 @@ pub fn enable() {
 /// until [`reset`].
 pub fn disable() {
     global().set_enabled(false);
-}
-
-/// Whether span begin/end events are being recorded into the global
-/// timeline (default: off; requires [`enable`] too to take effect,
-/// since inert guards record nothing).
-#[inline]
-pub fn timeline_enabled() -> bool {
-    timeline::global_timeline().is_enabled()
 }
 
 /// Turns timeline event recording on (see [`timeline`] for ring sizing
@@ -142,26 +134,6 @@ pub fn disable_timeline() {
 /// ring-wrap drop count.
 pub fn timeline_snapshot() -> TimelineSnapshot {
     timeline::global_timeline().snapshot()
-}
-
-/// Whether the periodic sampler's window store accepts samples
-/// (default: off).
-#[inline]
-pub fn sampling_enabled() -> bool {
-    store::global_store().is_enabled()
-}
-
-/// Turns sliding-window sampling on (see [`store`] for ring sizing
-/// and drop semantics). Call [`enable`] as well: the sampler snapshots
-/// the registry, which records nothing while disabled.
-pub fn enable_sampling() {
-    store::global_store().set_enabled(true);
-}
-
-/// Turns sliding-window sampling off. Samples recorded so far are
-/// kept until [`reset`].
-pub fn disable_sampling() {
-    store::global_store().set_enabled(false);
 }
 
 /// Whether the installed [`ProfiledAllocator`] is attributing
@@ -191,92 +163,29 @@ pub fn alloc_snapshot() -> AllocSnapshot {
     alloc::snapshot()
 }
 
-/// Ingests one registry snapshot into the global window store right
-/// now (what a sampler tick does). No-op when sampling is disabled —
-/// the disabled cost is one relaxed atomic load.
-pub fn sample_now() {
-    if !store::global_store().is_enabled() {
-        return;
-    }
-    ingest_sample(&snapshot());
-}
-
-/// Ingests an already-taken snapshot into the global window store at
-/// the current monotonic timestamp. No-op when sampling is disabled.
-pub fn ingest_sample(snap: &Snapshot) {
-    let store = store::global_store();
-    if !store.is_enabled() {
-        return;
-    }
-    store.ingest(snap, timeline::now_ns());
-}
-
-/// Takes a frozen copy of the global window store's series.
-pub fn window_snapshot() -> WindowSnapshot {
-    store::global_store().snapshot()
-}
-
-/// Records the identity baked into the running binary; shows up as
-/// the `hpcpower_build_info` info-gauge in the Prometheus exposition,
-/// a `build_info` section in the JSON document, and Chrome trace
-/// metadata. First caller wins; later calls are ignored.
-pub fn set_build_info(git_sha: &str, version: &str) {
-    let _ = BUILD_INFO.set(BuildInfo {
-        git_sha: git_sha.to_string(),
-        version: version.to_string(),
-    });
-}
-
-/// The build identity recorded by [`set_build_info`], if any.
-pub fn build_info() -> Option<&'static BuildInfo> {
-    BUILD_INFO.get()
-}
-
-static BUILD_INFO: OnceLock<BuildInfo> = OnceLock::new();
-
-static PROCESS_EPOCH: OnceLock<Instant> = OnceLock::new();
-
-fn process_epoch() -> Instant {
-    *PROCESS_EPOCH.get_or_init(Instant::now)
-}
-
-/// Seconds since telemetry was first enabled (or since the first
-/// uptime query, whichever came first) — the
-/// `obs.process.uptime_seconds` gauge.
-pub fn uptime_seconds() -> f64 {
-    process_epoch().elapsed().as_secs_f64()
-}
-
 /// Clears every counter, gauge, histogram, and span aggregate, the
-/// recorded timeline events, the window store's series, and the
-/// allocation-profiling stats.
+/// recorded timeline events, and the allocation-profiling stats.
 pub fn reset() {
     global().reset();
     timeline::global_timeline().reset();
-    store::global_store().reset();
     alloc::reset();
 }
 
 /// Takes a deterministic (name-sorted) snapshot of the registry.
 ///
-/// On top of the raw registry contents, an enabled registry's
-/// snapshot carries the `obs.process.uptime_seconds` gauge and — when
-/// [`set_build_info`] was called — the build identity.
+/// While allocation profiling is on, an enabled registry's snapshot
+/// also carries the process-wide `obs.alloc.*` totals.
 pub fn snapshot() -> Snapshot {
     let mut snap = global().snapshot();
-    if global().is_enabled() {
-        snap.set_gauge("obs.process.uptime_seconds", uptime_seconds());
-        if alloc::is_enabled() {
-            let a = alloc::snapshot();
-            snap.set_counter("obs.alloc.allocations", a.alloc_count);
-            snap.set_counter("obs.alloc.allocated_bytes", a.alloc_bytes);
-            snap.set_counter("obs.alloc.deallocations", a.dealloc_count);
-            snap.set_counter("obs.alloc.freed_bytes", a.dealloc_bytes);
-            snap.set_gauge("obs.alloc.current_bytes", a.current_bytes as f64);
-            snap.set_gauge("obs.alloc.peak_bytes", a.peak_bytes as f64);
-        }
+    if global().is_enabled() && alloc::is_enabled() {
+        let a = alloc::snapshot();
+        snap.set_counter("obs.alloc.allocations", a.alloc_count);
+        snap.set_counter("obs.alloc.allocated_bytes", a.alloc_bytes);
+        snap.set_counter("obs.alloc.deallocations", a.dealloc_count);
+        snap.set_counter("obs.alloc.freed_bytes", a.dealloc_bytes);
+        snap.set_gauge("obs.alloc.current_bytes", a.current_bytes as f64);
+        snap.set_gauge("obs.alloc.peak_bytes", a.peak_bytes as f64);
     }
-    snap.build_info = build_info().cloned();
     snap
 }
 

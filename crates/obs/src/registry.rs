@@ -318,7 +318,6 @@ impl Registry {
     /// Takes a deterministic, name-sorted snapshot of every metric.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            build_info: None,
             counters: lock(&self.counters)
                 .iter()
                 .map(|(k, v)| (k.clone(), *v))

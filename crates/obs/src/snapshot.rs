@@ -73,22 +73,9 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(f64, u64)>,
 }
 
-/// Identity of the binary that produced a snapshot (the
-/// `hpcpower_build_info` info-gauge in the Prometheus exposition).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BuildInfo {
-    /// Short git commit hash, or `"unknown"` outside a checkout.
-    pub git_sha: String,
-    /// Cargo package version.
-    pub version: String,
-}
-
 /// A deterministic (name-sorted) copy of every metric in a registry.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// Identity of the producing binary, when
-    /// [`crate::set_build_info`] was called.
-    pub build_info: Option<BuildInfo>,
     /// Monotonic counters.
     pub counters: Vec<(String, u64)>,
     /// Last-write-wins gauges.
@@ -169,7 +156,7 @@ impl Snapshot {
 
     /// Sets (or replaces) the gauge `name`, keeping the vector
     /// name-sorted — used to inject derived gauges like
-    /// `obs.process.uptime_seconds` without touching the registry.
+    /// `obs.alloc.peak_bytes` without touching the registry.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
         match self.gauges.binary_search_by(|(k, _)| k.as_str().cmp(name)) {
             Ok(i) => self.gauges[i].1 = value,
@@ -198,14 +185,10 @@ impl Snapshot {
     /// Renders a human-readable text table (the `--log-format text`
     /// sink).
     pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        if let Some(bi) = &self.build_info {
-            let _ = writeln!(out, "build: {} ({})", bi.version, bi.git_sha);
-        }
         if self.is_empty() {
-            out.push_str("telemetry: no metrics recorded\n");
-            return out;
+            return "telemetry: no metrics recorded\n".to_string();
         }
+        let mut out = String::new();
         let name_w = self
             .counters
             .iter()
@@ -264,15 +247,6 @@ impl Snapshot {
     /// `--log-format json` sink).
     pub fn render_jsonl(&self) -> String {
         let mut out = String::new();
-        if let Some(bi) = &self.build_info {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"build_info\",\"name\":\"hpcpower_build_info\",\
-                 \"git_sha\":\"{}\",\"version\":\"{}\"}}",
-                escape_json(&bi.git_sha),
-                escape_json(&bi.version)
-            );
-        }
         for (name, v) in &self.counters {
             let _ = writeln!(
                 out,
@@ -319,16 +293,7 @@ impl Snapshot {
     /// }
     /// ```
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        if let Some(bi) = &self.build_info {
-            let _ = writeln!(
-                out,
-                "  \"build_info\": {{\"git_sha\": \"{}\", \"version\": \"{}\"}},",
-                escape_json(&bi.git_sha),
-                escape_json(&bi.version)
-            );
-        }
-        out.push_str("  \"counters\": {");
+        let mut out = String::from("{\n  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
             let _ = write!(out, "{sep}\n    \"{}\": {v}", escape_json(name));
@@ -360,142 +325,6 @@ impl Snapshot {
         }
         out.push_str("\n  }\n}\n");
         out
-    }
-
-    /// Parses a snapshot back out of the [`Snapshot::to_json`]
-    /// document form.
-    ///
-    /// The round trip is byte-lossless: Rust's `{}` formatting of f64
-    /// is shortest-round-trip, so `parse(to_json(s)).to_json() ==
-    /// s.to_json()` and likewise for the Prometheus rendering — the
-    /// property `obs serve --metrics FILE` relies on to serve a
-    /// finished run's document byte-for-byte. Missing sections are
-    /// treated as empty, so hand-written documents (e.g. alert-eval
-    /// fixtures) only need the metrics they mention.
-    pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let value =
-            serde_json::parse(text).map_err(|e| format!("metrics document: {e}"))?;
-        let top = value
-            .as_object()
-            .ok_or("metrics document: top level is not an object")?;
-        let section = |key: &str| -> Result<&[(String, serde_json::Value)], String> {
-            match serde_json::find(top, key) {
-                Some(v) => v
-                    .as_object()
-                    .ok_or_else(|| format!("metrics document: {key:?} is not an object")),
-                None => Ok(&[]),
-            }
-        };
-        let f64_field = |obj: &[(String, serde_json::Value)], key: &str| -> Result<f64, String> {
-            serde_json::find(obj, key)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("metrics document: missing number {key:?}"))
-        };
-        let u64_field = |obj: &[(String, serde_json::Value)], key: &str| -> Result<u64, String> {
-            serde_json::find(obj, key)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("metrics document: missing integer {key:?}"))
-        };
-
-        let mut snap = Snapshot::default();
-        if let Some(bi) = serde_json::find(top, "build_info") {
-            let bi = bi
-                .as_object()
-                .ok_or("metrics document: \"build_info\" is not an object")?;
-            let field = |key: &str| -> Result<String, String> {
-                serde_json::find(bi, key)
-                    .and_then(|v| v.as_str())
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("metrics document: missing string {key:?}"))
-            };
-            snap.build_info = Some(BuildInfo {
-                git_sha: field("git_sha")?,
-                version: field("version")?,
-            });
-        }
-        for (name, v) in section("counters")? {
-            let v = v
-                .as_u64()
-                .ok_or_else(|| format!("metrics document: counter {name:?} is not a u64"))?;
-            snap.counters.push((name.clone(), v));
-        }
-        for (name, v) in section("gauges")? {
-            let v = v
-                .as_f64()
-                .ok_or_else(|| format!("metrics document: gauge {name:?} is not a number"))?;
-            snap.gauges.push((name.clone(), v));
-        }
-        for (name, v) in section("histograms")? {
-            let h = v
-                .as_object()
-                .ok_or_else(|| format!("metrics document: histogram {name:?} is not an object"))?;
-            let mut buckets = Vec::new();
-            if let Some(bs) = serde_json::find(h, "buckets") {
-                let bs = bs
-                    .as_array()
-                    .ok_or_else(|| format!("metrics document: {name:?} buckets not an array"))?;
-                for b in bs {
-                    let b = b
-                        .as_object()
-                        .ok_or_else(|| format!("metrics document: {name:?} bucket not an object"))?;
-                    buckets.push((f64_field(b, "le")?, u64_field(b, "count")?));
-                }
-            }
-            snap.histograms.push((
-                name.clone(),
-                HistogramSnapshot {
-                    count: u64_field(h, "count")?,
-                    sum: f64_field(h, "sum")?,
-                    mean: f64_field(h, "mean")?,
-                    min: f64_field(h, "min")?,
-                    max: f64_field(h, "max")?,
-                    p50: f64_field(h, "p50")?,
-                    p90: f64_field(h, "p90")?,
-                    p99: f64_field(h, "p99")?,
-                    buckets,
-                },
-            ));
-        }
-        for (name, v) in section("spans")? {
-            let s = v
-                .as_object()
-                .ok_or_else(|| format!("metrics document: span {name:?} is not an object"))?;
-            let parent = match serde_json::find(s, "parent") {
-                None | Some(serde_json::Value::Null) => None,
-                Some(p) => Some(
-                    p.as_str()
-                        .ok_or_else(|| {
-                            format!("metrics document: span {name:?} parent is not a string")
-                        })?
-                        .to_string(),
-                ),
-            };
-            snap.spans.push((
-                name.clone(),
-                SpanStats {
-                    count: u64_field(s, "count")?,
-                    total_ns: u64_field(s, "total_ns")?,
-                    // Absent in pre-profiling documents; treat as
-                    // "no child time reported".
-                    self_ns: serde_json::find(s, "self_ns")
-                        .and_then(|v| v.as_u64())
-                        .unwrap_or_else(|| {
-                            serde_json::find(s, "total_ns").and_then(|v| v.as_u64()).unwrap_or(0)
-                        }),
-                    min_ns: u64_field(s, "min_ns")?,
-                    max_ns: u64_field(s, "max_ns")?,
-                    p50_ns: f64_field(s, "p50_ns")?,
-                    p90_ns: f64_field(s, "p90_ns")?,
-                    p99_ns: f64_field(s, "p99_ns")?,
-                    parent,
-                },
-            ));
-        }
-        snap.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.spans.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(snap)
     }
 }
 
@@ -655,42 +484,5 @@ mod tests {
         assert_eq!(snap.gauges[0].0, "a.gauge");
         assert_eq!(snap.gauge("z.gauge"), Some(9.0), "existing gauge replaced");
         assert_eq!(snap.gauges.len(), 2);
-    }
-
-    /// The `--metrics-out` JSON document parses back into an equal
-    /// snapshot, byte-for-byte through a second render — the property
-    /// `obs serve --metrics FILE` relies on.
-    #[test]
-    fn from_json_round_trips_byte_for_byte() {
-        let mut snap = sample_registry().snapshot();
-        snap.build_info = Some(BuildInfo {
-            git_sha: "abc1234".to_string(),
-            version: "0.1.0".to_string(),
-        });
-        snap.set_gauge("neg.gauge", -2.5);
-        let doc = snap.to_json();
-        let parsed = Snapshot::from_json(&doc).expect("parses");
-        assert_eq!(parsed.to_json(), doc, "JSON round trip is lossless");
-        assert_eq!(
-            crate::export::prometheus(&parsed),
-            crate::export::prometheus(&snap),
-            "Prometheus rendering survives the round trip"
-        );
-        assert_eq!(parsed.counter("b.counter"), Some(7));
-        assert_eq!(parsed.build_info.as_ref().unwrap().git_sha, "abc1234");
-        assert_eq!(
-            parsed.span("stage.two").unwrap().parent.as_deref(),
-            Some("stage.one")
-        );
-    }
-
-    #[test]
-    fn from_json_accepts_partial_documents_and_rejects_garbage() {
-        let snap = Snapshot::from_json("{\"gauges\": {\"g\": 1.5}}").expect("partial doc");
-        assert_eq!(snap.gauge("g"), Some(1.5));
-        assert!(snap.counters.is_empty());
-        assert!(Snapshot::from_json("[1,2]").is_err());
-        assert!(Snapshot::from_json("{\"counters\": {\"c\": -1}}").is_err());
-        assert!(Snapshot::from_json("not json").is_err());
     }
 }

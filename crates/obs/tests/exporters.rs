@@ -417,7 +417,7 @@ fn linter_rejects_trailing_backslash_in_label_value() {
     assert!(err.contains("unterminated"), "got: {err}");
 }
 
-/// Escaped label values — exactly what `escape_label_value` emits —
+/// Escaped label values (`\\`, `\"`, `\n` per the exposition format)
 /// must parse, proving the negative cases above fail for the right
 /// reason.
 #[test]
@@ -460,37 +460,8 @@ fn linter_rejects_dotted_profiler_metric_names() {
     assert!(lint_prometheus(text).is_err(), "dotted name must fail the charset check");
 }
 
-// ------------------------------------------------------------ build info
-
-/// The build-info gauge rides HELP/label escaping end-to-end: hostile
-/// characters in the recorded sha/version must come out escaped and
-/// the document must still lint.
-#[test]
-fn prometheus_build_info_is_emitted_and_escaped() {
-    let r = Registry::new();
-    r.set_enabled(true);
-    r.counter_add("c", 1);
-    let mut snap = r.snapshot();
-    snap.build_info = Some(hpcpower_obs::BuildInfo {
-        git_sha: "abc\\123\"x\ny".to_string(),
-        version: "0.1.0".to_string(),
-    });
-    let text = prometheus(&snap);
-    lint_prometheus(&text).unwrap_or_else(|e| panic!("lint failed: {e}\n---\n{text}"));
-    assert!(text.contains("# TYPE hpcpower_build_info gauge"));
-    assert!(
-        text.contains("hpcpower_build_info{git_sha=\"abc\\\\123\\\"x\\ny\",version=\"0.1.0\"} 1"),
-        "backslash, quote, and newline must be escaped:\n{text}"
-    );
-    assert!(
-        !text.contains("abc\\123\"x\ny"),
-        "raw hostile characters must not appear"
-    );
-}
-
-/// HELP text escaping (the other half of the exposition's escaping
-/// rules): backslashes and newlines in metric names — which the
-/// exporter echoes into HELP — must be escaped.
+/// HELP text escaping: backslashes and newlines in metric names —
+/// which the exporter echoes into HELP — must be escaped.
 #[test]
 fn prometheus_help_text_is_escaped() {
     let r = Registry::new();

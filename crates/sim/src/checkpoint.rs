@@ -447,7 +447,7 @@ fn run_inner(
     // the dataset provably comes from durable artifacts — the resumed
     // and uninterrupted paths converge on the exact same bytes here.
     let out = hpcpower_obs::time("checkpoint.finalize", || {
-        finalize(run_dir, n_chunks, chunk_jobs, n_jobs, cfg.horizon_min, telemetry, &prep.placed)
+        finalize(run_dir, n_chunks, chunk_jobs, n_jobs, cfg.horizon_min, &prep.placed)
     })?;
     let result = sim.finish(prep, out);
     recover::atomic_write(fs, &run_dir.join(COMPLETE_FILE), b"ok\n")?;
@@ -460,10 +460,9 @@ fn finalize(
     chunk_jobs: usize,
     n_jobs: usize,
     horizon_min: u64,
-    telemetry: bool,
     placed: &[ScheduledJob],
 ) -> Result<MonitorOutput, CheckpointError> {
-    let mut fold = SystemFold::new(horizon_min, telemetry);
+    let mut fold = SystemFold::new(horizon_min);
     let mut summaries = Vec::with_capacity(n_jobs);
     let mut instrumented = Vec::new();
     for chunk in 0..n_chunks {
@@ -490,7 +489,6 @@ fn finalize(
             let column = &decoded.columns[decoded.offsets[k]..decoded.offsets[k + 1]];
             fold.fold_job(&placed[job_start + k], column);
         }
-        fold.flush_gauges();
     }
     Ok(MonitorOutput {
         summaries,

@@ -182,23 +182,6 @@ impl ClusterSim {
             rejected,
             ..
         } = prep;
-        if hpcpower_obs::enabled() {
-            // Per-application energy totals (watt-minutes, rounded to a
-            // counter): one series per catalog entry that ran work.
-            let mut app_energy = vec![0.0f64; self.catalog.len()];
-            for (j, s) in placed.iter().zip(&out.summaries) {
-                app_energy[j.request.app as usize] += s.energy_wmin;
-            }
-            for (app, e) in self.catalog.iter().zip(&app_energy) {
-                if *e > 0.0 {
-                    hpcpower_obs::counter_add(
-                        &format!("sim.app.{}.energy_wmin", app.name),
-                        e.round() as u64,
-                    );
-                }
-            }
-        }
-
         let jobs: Vec<JobRecord> = placed
             .iter()
             .enumerate()

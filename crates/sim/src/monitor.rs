@@ -112,25 +112,15 @@ pub(crate) struct SystemFold {
     power: Vec<f64>,
     active: Vec<u64>,
     horizon: usize,
-    telemetry: bool,
-    /// Running peak draw over every minute touched so far (telemetry
-    /// only — never feeds back into the accumulators).
-    peak_power_w: f64,
-    /// Latest in-horizon start minute — the "now" the instantaneous
-    /// gauges are probed at.
-    probe_minute: Option<usize>,
 }
 
 impl SystemFold {
-    pub(crate) fn new(horizon_min: u64, telemetry: bool) -> Self {
+    pub(crate) fn new(horizon_min: u64) -> Self {
         let horizon = horizon_min as usize;
         Self {
             power: vec![0.0; horizon],
             active: vec![0; horizon],
             horizon,
-            telemetry,
-            peak_power_w: 0.0,
-            probe_minute: None,
         }
     }
 
@@ -150,32 +140,6 @@ impl SystemFold {
         for dst in &mut self.active[start..end] {
             *dst += nodes;
         }
-        if self.telemetry {
-            // Second pass over the band just written: float
-            // accumulation above is untouched, so enabling telemetry
-            // cannot perturb the dataset bytes.
-            for &w in &self.power[start..end] {
-                if w > self.peak_power_w {
-                    self.peak_power_w = w;
-                }
-            }
-            self.probe_minute = Some(self.probe_minute.map_or(start, |m| m.max(start)));
-        }
-    }
-
-    /// Publishes the live power-domain gauges (telemetry only); called
-    /// once per folded batch/chunk so later folds refine the values.
-    pub(crate) fn flush_gauges(&self) {
-        if !self.telemetry {
-            return;
-        }
-        if let Some(m) = self.probe_minute {
-            // Instantaneous cluster draw at the most recently started
-            // minute; the final flush reflects the full schedule.
-            hpcpower_obs::gauge_set("sim.cluster.power_watts", self.power[m]);
-            hpcpower_obs::gauge_set("sim.cluster.nodes_busy", self.active[m] as f64);
-        }
-        hpcpower_obs::gauge_set("sim.cluster.peak_power_watts", self.peak_power_w);
     }
 
     /// Finishes the fold into the per-minute system series.
@@ -587,7 +551,7 @@ pub fn monitor(
     let telemetry = hpcpower_obs::enabled();
     let monitor_start = std::time::Instant::now();
 
-    let mut fold = SystemFold::new(horizon_min, telemetry);
+    let mut fold = SystemFold::new(horizon_min);
     let mut summaries = Vec::with_capacity(jobs.len());
     let mut instrumented = Vec::new();
     // One materialization buffer reused across batches (the offset
@@ -635,7 +599,6 @@ pub fn monitor(
             let column = &batch.columns[batch.offsets[k]..batch.offsets[k + 1]];
             fold.fold_job(&jobs[batch_start + k], column);
         }
-        fold.flush_gauges();
     }
 
     if telemetry {

@@ -115,57 +115,6 @@ fi
     || { echo "profile smoke: report does not list the simulate path" >&2; exit 1; }
 echo "profile smoke: folded + SVG + report OK"
 
-# Live-telemetry smoke: re-render the collected document, lint it, then
-# serve it on an ephemeral port and check /metrics is byte-for-byte the
-# rendered exposition and /healthz answers.
-./target/release/hpcpower obs render --metrics "$SMOKE_DIR/metrics.json" \
-    --format prom > "$SMOKE_DIR/rendered.prom"
-./target/release/hpcpower obs lint "$SMOKE_DIR/rendered.prom" >/dev/null
-./target/release/hpcpower obs serve --metrics "$SMOKE_DIR/metrics.json" \
-    --addr 127.0.0.1:0 --addr-file "$SMOKE_DIR/addr.txt" \
-    --duration-s 30 --quiet &
-SERVE_PID=$!
-i=0
-while [ ! -s "$SMOKE_DIR/addr.txt" ] && [ $i -lt 100 ]; do
-    sleep 0.1; i=$((i + 1))
-done
-[ -s "$SMOKE_DIR/addr.txt" ] || { echo "obs serve never bound" >&2; exit 1; }
-ADDR=$(cat "$SMOKE_DIR/addr.txt")
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$ADDR" "$SMOKE_DIR" <<'EOF'
-import json, sys, urllib.request
-addr, smoke = sys.argv[1], sys.argv[2]
-body = urllib.request.urlopen(f"http://{addr}/metrics", timeout=10).read()
-with open(f"{smoke}/served.prom", "wb") as f:
-    f.write(body)
-health = json.load(urllib.request.urlopen(f"http://{addr}/healthz", timeout=10))
-assert health["status"] == "ok", health
-urllib.request.urlopen(f"http://{addr}/quit", timeout=10).read()
-print("serve smoke: /metrics and /healthz answered")
-EOF
-    cmp -s "$SMOKE_DIR/served.prom" "$SMOKE_DIR/rendered.prom" \
-        || { echo "serve smoke: /metrics differs from obs render" >&2; exit 1; }
-    wait "$SERVE_PID" || { echo "obs serve exited non-zero" >&2; exit 1; }
-    echo "serve smoke: clean shutdown"
-else
-    kill "$SERVE_PID" 2>/dev/null || true
-    wait "$SERVE_PID" 2>/dev/null || true
-    echo "serve smoke: skipped endpoint fetch (python3 unavailable)"
-fi
-
-# Alert-rule smoke: a rule the run satisfies must exit 4, a quiet rule
-# exits 0.
-set +e
-./target/release/hpcpower alerts eval --metrics "$SMOKE_DIR/metrics.json" \
-    --alert 'placed:sim.jobs.placed>1@1' >/dev/null
-rc=$?
-set -e
-[ "$rc" -eq 4 ] || { echo "alerts eval: expected exit 4, got $rc" >&2; exit 1; }
-./target/release/hpcpower alerts eval --metrics "$SMOKE_DIR/metrics.json" \
-    --alert 'quiet:sim.jobs.placed>999999999@1' >/dev/null \
-    || { echo "alerts eval: quiet rule must exit 0" >&2; exit 1; }
-echo "alerts smoke: exit codes 4/0 as specified"
-
 # Criterion pipeline bench, quick mode: one shortened pass over the
 # end-to-end benches so panics and API rot surface in CI without the
 # full sampling budget. Timings printed here are not gate inputs.
