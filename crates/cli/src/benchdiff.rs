@@ -136,18 +136,18 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
     }
 
     let Some(runs) = load_runs(path)? else {
-        println!(
+        outln!(
             "bench diff: no baseline yet ({path} does not exist); run \
              `cargo run --release -p hpcpower-bench --bin pipeline` to record one"
-        );
+        )?;
         return Ok(());
     };
     let n = runs.len();
     if n < 2 {
-        println!(
+        outln!(
             "bench diff: no baseline yet ({path} has {n} run(s), need 2); run \
              `cargo run --release -p hpcpower-bench --bin pipeline` to record more"
-        );
+        )?;
         return Ok(());
     }
     let latest = &runs[n - 1];
@@ -156,27 +156,27 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
         .ok_or_else(|| format!("--baseline {baseline_back} out of range ({n} runs in history)"))?;
     let baseline = &runs[base_idx];
 
-    println!("bench diff: {path} ({n} runs)");
-    println!(
+    outln!("bench diff: {path} ({n} runs)")?;
+    outln!(
         "  baseline: run {}/{n}  {} {}",
         base_idx + 1,
         run_str(baseline, "git_sha"),
         run_str(baseline, "date"),
-    );
-    println!(
+    )?;
+    outln!(
         "  latest:   run {n}/{n}  {} {}",
         run_str(latest, "git_sha"),
         run_str(latest, "date"),
-    );
-    println!();
-    println!("  {:<22} {:>10} {:>10} {:>8}", "metric", "baseline", "latest", "delta");
+    )?;
+    outln!()?;
+    outln!("  {:<22} {:>10} {:>10} {:>8}", "metric", "baseline", "latest", "delta")?;
     for (label, mpath) in ROWS {
         let (Some(b), Some(l)) = (metric(baseline, mpath), metric(latest, mpath)) else {
             continue;
         };
         match delta_pct(b, l) {
-            Some(d) => println!("  {label:<22} {b:>10.3} {l:>10.3} {d:>+7.1}%"),
-            None => println!("  {label:<22} {b:>10.3} {l:>10.3}      n/a"),
+            Some(d) => outln!("  {label:<22} {b:>10.3} {l:>10.3} {d:>+7.1}%")?,
+            None => outln!("  {label:<22} {b:>10.3} {l:>10.3}      n/a")?,
         }
     }
     for (label, mpath) in ALLOC_ROWS {
@@ -186,9 +186,9 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
         const MIB: f64 = 1024.0 * 1024.0;
         match delta_pct(b, l) {
             Some(d) => {
-                println!("  {label:<22} {:>10.1} {:>10.1} {d:>+7.1}%", b / MIB, l / MIB)
+                outln!("  {label:<22} {:>10.1} {:>10.1} {d:>+7.1}%", b / MIB, l / MIB)?
             }
-            None => println!("  {label:<22} {:>10.1} {:>10.1}      n/a", b / MIB, l / MIB),
+            None => outln!("  {label:<22} {:>10.1} {:>10.1}      n/a", b / MIB, l / MIB)?,
         }
     }
 
@@ -263,7 +263,7 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
 
     let mut gated_any = false;
     let mut regressed: Vec<String> = Vec::new();
-    println!();
+    outln!()?;
     for (name, unit, paths) in gates {
         let Some((label, base, latest_v)) = paths.iter().find_map(|p| {
             Some((p.join("."), metric(baseline, p)?, metric(latest, p)?))
@@ -273,18 +273,18 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
         gated_any = true;
         match delta_pct(base, latest_v) {
             Some(d) => {
-                println!(
+                outln!(
                     "gate {label}: {} -> {} ({d:+.1}%)",
                     unit.fmt(base),
                     unit.fmt(latest_v)
-                );
+                )?;
                 if let Some(limit) = fail_pct {
                     if d > limit && comparable_hosts {
                         regressed.push(format!("{name} ({label}) {d:+.1}% > {limit}%"));
                     }
                 }
             }
-            None => println!("gate {label}: baseline is 0, delta undefined; not gating"),
+            None => outln!("gate {label}: baseline is 0, delta undefined; not gating")?,
         }
     }
     if !gated_any {
@@ -293,11 +293,11 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
     if let Some(limit) = fail_pct {
         if !comparable_hosts {
             let (b, l) = cores;
-            println!(
+            outln!(
                 "cores_available changed ({} -> {}); timings not comparable, gate skipped",
                 b.map_or("?".into(), |v| format!("{v}")),
                 l.map_or("?".into(), |v| format!("{v}")),
-            );
+            )?;
         } else if !regressed.is_empty() {
             for r in &regressed {
                 eprintln!("REGRESSION: {r}");
@@ -307,7 +307,7 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
                 regressed.len()
             )));
         } else {
-            println!("all gates within --fail-on-regress {limit}%");
+            outln!("all gates within --fail-on-regress {limit}%")?;
         }
     }
     Ok(())

@@ -68,15 +68,15 @@ pub fn cmd_chaos(args: &Args) -> Result<(), CliError> {
             fs_kind => scenario_fs(fs_kind, &dir),
         };
         match result {
-            Ok(detail) => println!("PASS {name}: {detail}"),
+            Ok(detail) => outln!("PASS {name}: {detail}")?,
             Err(why) => {
                 failed += 1;
-                println!("FAIL {name}: {why}");
+                outln!("FAIL {name}: {why}")?;
             }
         }
     }
     if failed == 0 {
-        println!("chaos: all {} scenario(s) passed", selected.len());
+        outln!("chaos: all {} scenario(s) passed", selected.len())?;
         if !args.has("keep") {
             let _ = std::fs::remove_dir_all(&dir);
         }

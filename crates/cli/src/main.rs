@@ -10,6 +10,9 @@
 //!
 //! Run `hpcpower help` for the full surface.
 
+#[macro_use]
+mod out;
+
 mod args;
 mod benchdiff;
 mod chaos;
@@ -300,7 +303,7 @@ fn write_simulate_outputs(
     let dataset = sim_out.dataset;
     match &sim_out.faults {
         // A faulted trace is deliberately dirty; `ingest` repairs it.
-        Some(f) => println!(
+        Some(f) => outln!(
             "faults injected: {} total ({} crashes, {} samples dropped, \
              {} spikes, {} stuck rows, {} system samples dropped, \
              {} duplicated, {} swapped)",
@@ -312,7 +315,7 @@ fn write_simulate_outputs(
             f.system_samples_dropped,
             f.duplicated_rows,
             f.swapped_rows
-        ),
+        )?,
         None => validate::validate(&dataset).map_err(|e| e.to_string())?,
     }
     let out: PathBuf = args
@@ -336,18 +339,13 @@ fn write_simulate_outputs(
         swf::write_swf(&mut workload, &dataset).map_err(CliError::io)?;
         publish(&out.join("workload.swf"), &workload)?;
     }
-    // A closed stdout (e.g. `hpcpower simulate | grep -q ...`) must not
-    // panic after the outputs are already durably published.
-    use std::io::Write as _;
-    let _ = writeln!(
-        std::io::stdout(),
+    outln!(
         "{}: {} jobs, {} instrumented series -> {}",
         dataset.system.name,
         dataset.len(),
         dataset.instrumented.len(),
         out.display()
-    );
-    Ok(())
+    )
 }
 
 /// Durably publishes one output artifact: atomic temp+fsync+rename with
@@ -384,16 +382,16 @@ fn cmd_analyze(args: &Args) -> Result<(), CliError> {
             hpcpower::json_report::build_with(&dataset, &cfg, quality.clone())
         });
         let text = serde_json::to_string_pretty(&full).map_err(|e| e.to_string())?;
-        println!("{text}");
+        outln!("{text}")?;
     } else {
-        print!(
+        out!(
             "{}",
             with_threads(threads, || report::render_full_with(
                 &dataset,
                 &cfg,
                 quality.as_ref()
             ))
-        );
+        )?;
     }
     Ok(())
 }
@@ -485,15 +483,15 @@ fn cmd_ingest(args: &Args) -> Result<(), CliError> {
     }
     if args.has("json") {
         let text = serde_json::to_string_pretty(&quality).map_err(|e| e.to_string())?;
-        println!("{text}");
+        outln!("{text}")?;
     } else {
-        print!("{}", report::render_data_quality(&quality));
-        println!(
+        out!("{}", report::render_data_quality(&quality))?;
+        outln!(
             "{}: {} jobs ingested ({} repaired records)",
             dataset.system.name,
             dataset.len(),
             quality.rows_repaired()
-        );
+        )?;
     }
     Ok(())
 }
@@ -506,10 +504,10 @@ fn cmd_compare(args: &Args) -> Result<(), CliError> {
         ..Default::default()
     };
     let threads: usize = args.get_or("threads", 0)?;
-    print!(
+    out!(
         "{}",
         with_threads(threads, || report::render_pair(&a, &b, &cfg))
-    );
+    )?;
     Ok(())
 }
 
@@ -524,13 +522,13 @@ fn cmd_predict(args: &Args) -> Result<(), CliError> {
     let model =
         DecisionTree::fit(&data, TreeConfig::default()).map_err(|e| e.to_string())?;
     let w = model.predict(user, nodes, walltime_h * 60.0);
-    println!(
+    outln!(
         "predicted per-node power: {w:.1} W  ({:.0}% of the {} W node TDP)",
         100.0 * w / dataset.system.node_tdp_w,
         dataset.system.node_tdp_w
-    );
+    )?;
     let cap = (w * 1.15).min(dataset.system.node_tdp_w);
-    println!("suggested static cap (+15% margin, per the paper): {cap:.0} W/node");
+    outln!("suggested static cap (+15% margin, per the paper): {cap:.0} W/node")?;
     Ok(())
 }
 
@@ -541,10 +539,10 @@ fn cmd_powercap(args: &Args) -> Result<(), CliError> {
         ..Default::default()
     };
     let threads: usize = args.get_or("threads", 0)?;
-    print!(
+    out!(
         "{}",
         with_threads(threads, || report::render_powercap(&dataset, &cfg))
-    );
+    )?;
     Ok(())
 }
 
@@ -729,10 +727,7 @@ fn main() {
         Some("bench") => benchdiff::cmd_bench(&args),
         Some("profile") => profile::cmd_profile(&args),
         Some("chaos") => chaos::cmd_chaos(&args),
-        Some("help") | None => {
-            print!("{HELP}");
-            Ok(())
-        }
+        Some("help") | None => out!("{HELP}"),
         Some(other) => Err(CliError::Usage(format!("unknown command {other:?}"))),
     };
     // Supervision ends with the command body: the file writes below

@@ -52,12 +52,12 @@ fn cmd_report(args: &Args) -> Result<(), CliError> {
     let profile = load_profile(path)?;
     let total_ns = profile.total_ns();
     let total_bytes = profile.total_bytes();
-    println!(
+    outln!(
         "profile report: {path} ({} path(s), total self {} ms, {} KiB allocated)",
         profile.entries.len(),
         fmt_ms(total_ns),
         fmt_kib(total_bytes),
-    );
+    )?;
     let mut entries = profile.entries;
     entries.sort_by(|a, b| {
         b.self_ns
@@ -65,23 +65,23 @@ fn cmd_report(args: &Args) -> Result<(), CliError> {
             .then(b.self_bytes.cmp(&a.self_bytes))
             .then(a.stack.cmp(&b.stack))
     });
-    println!();
-    println!("  {:>10} {:>6} {:>12}  path", "self ms", "self%", "alloc KiB");
+    outln!()?;
+    outln!("  {:>10} {:>6} {:>12}  path", "self ms", "self%", "alloc KiB")?;
     for e in entries.iter().take(top) {
         let pct = if total_ns > 0 {
             100.0 * e.self_ns as f64 / total_ns as f64
         } else {
             0.0
         };
-        println!(
+        outln!(
             "  {:>10} {pct:>5.1}% {:>12}  {}",
             fmt_ms(e.self_ns),
             fmt_kib(e.self_bytes),
             e.stack.join(";"),
-        );
+        )?;
     }
     if entries.len() > top {
-        println!("  ... {} more path(s); raise --top to see them", entries.len() - top);
+        outln!("  ... {} more path(s); raise --top to see them", entries.len() - top)?;
     }
     Ok(())
 }
@@ -95,11 +95,11 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
     }
     let a = load_profile(a_path)?;
     let b = load_profile(b_path)?;
-    println!(
+    outln!(
         "profile diff: {a_path} ({} ms) -> {b_path} ({} ms)",
         fmt_ms(a.total_ns()),
         fmt_ms(b.total_ns()),
-    );
+    )?;
 
     // Union of paths, with the per-side values; sorted by absolute
     // self-time movement so the biggest winners/losers lead.
@@ -143,11 +143,11 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
             .then_with(|| y.b_bytes.abs_diff(y.a_bytes).cmp(&x.b_bytes.abs_diff(x.a_bytes)))
             .then_with(|| x.stack.cmp(&y.stack))
     });
-    println!();
-    println!(
+    outln!()?;
+    outln!(
         "  {:>10} {:>10} {:>9} {:>11} {:>11}  path",
         "a ms", "b ms", "delta", "a KiB", "b KiB"
-    );
+    )?;
     for r in rows.iter().take(top) {
         let delta = if r.a_ns > 0 {
             format!(
@@ -159,17 +159,17 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
         } else {
             "n/a".to_string()
         };
-        println!(
+        outln!(
             "  {:>10} {:>10} {delta:>9} {:>11} {:>11}  {}",
             fmt_ms(r.a_ns),
             fmt_ms(r.b_ns),
             fmt_kib(r.a_bytes),
             fmt_kib(r.b_bytes),
             r.stack.join(";"),
-        );
+        )?;
     }
     if rows.len() > top {
-        println!("  ... {} more path(s); raise --top to see them", rows.len() - top);
+        outln!("  ... {} more path(s); raise --top to see them", rows.len() - top)?;
     }
     Ok(())
 }

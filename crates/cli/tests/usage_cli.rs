@@ -2,7 +2,7 @@
 //! and anything else exits 2 naming the offending flag before any work
 //! is done.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hpcpower"))
@@ -54,4 +54,36 @@ fn removed_commands_are_unknown() {
     for cmd in ["obs", "alerts"] {
         assert_usage_error(&[cmd], "unknown command");
     }
+}
+
+/// A reader that is already gone (`hpcpower … | true`) leaves stdout
+/// closed; the command's output is then done, not a panic.
+#[test]
+fn closed_stdout_exits_0_without_panicking() {
+    let dir = std::env::temp_dir().join(format!("hpcpower-closed-stdout-{}", std::process::id()));
+    let d = dir.to_str().unwrap();
+    let sim = run(&[
+        "simulate", "--nodes", "16", "--days", "2", "--users", "8", "--quiet", "--out", d,
+    ]);
+    assert!(sim.status.success(), "{}", String::from_utf8_lossy(&sim.stderr));
+    let (data, jobs, system) =
+        (format!("{d}/dataset.json"), format!("{d}/jobs.csv"), format!("{d}/system.csv"));
+    for args in [
+        vec!["help"],
+        vec!["predict", "--data", &data, "--user", "1", "--nodes", "2", "--walltime-h", "1"],
+        vec!["ingest", "--jobs", &jobs, "--system", &system, "--nodes", "16"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcpower"))
+            .args(&args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn hpcpower");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "hpcpower {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "hpcpower {args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

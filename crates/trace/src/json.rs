@@ -125,4 +125,47 @@ mod tests {
     fn rejects_garbage() {
         assert!(read_dataset("not json".as_bytes()).is_err());
     }
+
+    /// The test dataset's JSON with its one series replaced by `series`.
+    fn with_series(series: &str) -> String {
+        let d = dataset();
+        let text = serde_json::to_string(&d).unwrap();
+        let original = serde_json::to_string(&d.instrumented[0]).unwrap();
+        assert_eq!(text.matches(&original).count(), 1);
+        text.replace(&original, series)
+    }
+
+    fn assert_invalid_naming_job0(text: &str) {
+        match read_dataset(text.as_bytes()) {
+            Err(TraceError::Invalid(msg)) => assert!(msg.contains("job-0"), "{msg}"),
+            other => panic!("expected TraceError::Invalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn series_missing_a_sample_is_invalid() {
+        assert_invalid_naming_job0(&with_series(
+            r#"{"id":0,"nodes":2,"minutes":3,"samples":[118.0,120.0,122.0,119.0,121.0]}"#,
+        ));
+    }
+
+    #[test]
+    fn zero_dimension_series_is_invalid() {
+        assert_invalid_naming_job0(&with_series(r#"{"id":0,"nodes":0,"minutes":3,"samples":[]}"#));
+        assert_invalid_naming_job0(&with_series(r#"{"id":0,"nodes":2,"minutes":0,"samples":[]}"#));
+    }
+
+    #[test]
+    fn deeply_nested_unknown_key_is_skipped_without_recursion() {
+        let text = serde_json::to_string(&dataset()).unwrap();
+        let depth = 200_000;
+        let nested = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let doc = text.replacen('{', &format!("{{\"extra\":{nested},"), 1);
+        let back: TraceDataset = serde_json::from_str(&doc).unwrap();
+        assert_eq!(back.jobs, dataset().jobs);
+        let unbalanced = text.replacen('{', &format!("{{\"extra\":{},", "[".repeat(depth)), 1);
+        assert!(serde_json::from_str::<TraceDataset>(&unbalanced).is_err());
+        // A file of nothing but `[` is refused at its first byte.
+        assert!(read_dataset("[".repeat(depth).as_bytes()).is_err());
+    }
 }

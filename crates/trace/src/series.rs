@@ -10,8 +10,10 @@ use crate::ids::JobId;
 
 /// Dense per-node, per-minute power samples for one job.
 ///
-/// Stored row-major by node: `samples[node * minutes + t]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Stored row-major by node: `samples[node * minutes + t]`. Decoding
+/// checks the shape the same way [`JobSeries::new`] does, so a
+/// misshapen series in a dataset file is an error naming its job.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JobSeries {
     /// Job this series belongs to.
     pub id: JobId,
@@ -21,6 +23,32 @@ pub struct JobSeries {
     minutes: u32,
     /// Row-major samples in watts.
     samples: Vec<f64>,
+}
+
+/// The wire form of a [`JobSeries`], before its shape is checked.
+#[derive(Deserialize)]
+struct RawJobSeries {
+    id: JobId,
+    nodes: u32,
+    minutes: u32,
+    samples: Vec<f64>,
+}
+
+impl Deserialize for JobSeries {
+    fn deserialize_json(r: &mut serde::json::Reader<'_>) -> Result<Self, serde::json::Error> {
+        let RawJobSeries {
+            id,
+            nodes,
+            minutes,
+            samples,
+        } = RawJobSeries::deserialize_json(r)?;
+        let len = samples.len();
+        JobSeries::new(id, nodes, minutes, samples).ok_or_else(|| {
+            serde::json::Error::msg(format!(
+                "series of {id} is misshapen: {nodes} nodes x {minutes} minutes with {len} samples"
+            ))
+        })
+    }
 }
 
 impl JobSeries {

@@ -136,14 +136,21 @@ fi
 
 # Fault-injection smoke: a dirty trace must round-trip through
 # ingest-with-repair and then analyze cleanly, with a data-quality
-# section in both the text and JSON reports.
+# section in both the text and JSON reports. `grep -q` exits at its
+# first match and closes the pipe, so the ingest's stderr is checked
+# too: a write to the closed stdout must end quietly, not panic.
 ./target/release/hpcpower simulate --system emmy --seed 5 \
     --nodes 16 --days 3 --users 8 --quiet --faults 0.05 \
     --out "$SMOKE_DIR/dirty" | grep -q 'faults injected:'
 ./target/release/hpcpower ingest --jobs "$SMOKE_DIR/dirty/jobs.csv" \
     --system "$SMOKE_DIR/dirty/system.csv" --nodes 16 --lenient \
     --repair-policy hold-last --out "$SMOKE_DIR/repaired" \
-    | grep -q '0 after'
+    2> "$SMOKE_DIR/ingest-smoke.err" | grep -q '0 after'
+if grep -q 'panicked' "$SMOKE_DIR/ingest-smoke.err"; then
+    cat "$SMOKE_DIR/ingest-smoke.err" >&2
+    echo "fault smoke: ingest panicked" >&2
+    exit 1
+fi
 ./target/release/hpcpower analyze --data "$SMOKE_DIR/repaired/dataset.json" \
     --splits 2 >/dev/null
 ./target/release/hpcpower analyze --data "$SMOKE_DIR/dirty/dataset.json" \

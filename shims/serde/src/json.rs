@@ -1,6 +1,9 @@
-//! The JSON data model behind the serde shim: a [`Value`] tree, a
-//! recursive-descent parser, and a deterministic [`Writer`].
+//! The JSON data model behind the serde shim: a pull [`Reader`] that
+//! typed `Deserialize` impls decode from directly, a [`Value`] tree for
+//! callers that want a whole untyped document, and a deterministic
+//! [`Writer`].
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed JSON value. Integers are kept apart from floats so `u64`
@@ -25,21 +28,7 @@ pub enum Value {
     Object(Vec<(String, Value)>),
 }
 
-static NULL: Value = Value::Null;
-
 impl Value {
-    /// Human-readable kind, for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Num(_) | Value::Int(_) | Value::UInt(_) => "number",
-            Value::Str(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
-
     /// The object entries, if this is an object.
     pub fn as_object(&self) -> Option<&[(String, Value)]> {
         match self {
@@ -117,13 +106,6 @@ pub fn find<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-/// Like [`find`], but missing keys resolve to `null` (which scalar
-/// deserializers reject with a "found null" error and `Option` maps to
-/// `None` — the behaviour derive-generated code relies on).
-pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> &'a Value {
-    find(obj, key).unwrap_or(&NULL)
-}
-
 impl crate::Serialize for Value {
     fn serialize_json(&self, w: &mut Writer) {
         match self {
@@ -153,8 +135,8 @@ impl crate::Serialize for Value {
 }
 
 impl crate::Deserialize for Value {
-    fn deserialize_json(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
+    fn deserialize_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.value()
     }
 }
 
@@ -343,60 +325,281 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 // ---------------------------------------------------------------------------
-// Parser
+// Reader
 
-/// Parses a complete JSON document.
+/// The deepest container nesting [`Reader::value`] builds a tree for;
+/// anything deeper is an error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document into a [`Value`] tree.
 pub fn parse(input: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::msg(format!(
-            "trailing characters at byte {}",
-            p.pos
-        )));
-    }
+    let mut r = Reader::new(input);
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// What a field absent from its object decodes to: whatever `null`
+/// decodes to (`NaN` for floats, `None` for options), and for any other
+/// type a missing-field error naming `field` of `ty`.
+pub fn missing<T: crate::Deserialize>(ty: &str, field: &str) -> Result<T, Error> {
+    T::deserialize_json(&mut Reader::new("null"))
+        .map_err(|_| Error::msg(format!("missing field `{field}` in {ty}")))
+}
+
+/// A pull cursor over one JSON text.
+///
+/// Typed decoders ask it for exactly the token they expect next — a
+/// number, a string, the entries of an object — so a document decodes
+/// in one pass with no intermediate tree, and object keys and
+/// escape-free strings are borrowed from the input. Every method skips
+/// leading whitespace and leaves the cursor just past what it read;
+/// errors carry the byte offset where decoding stopped.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    src: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
+        Self { src, pos: 0 }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+    /// Ends the document: only whitespace may follow the value read.
+    pub fn finish(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos == self.src.len() {
             Ok(())
         } else {
             Err(Error::msg(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
+                "trailing characters at byte {}",
+                self.pos
             )))
         }
     }
 
+    /// The next non-whitespace byte, without consuming it.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.byte()
+    }
+
+    /// Consumes a `null` if one comes next.
+    pub fn eat_null(&mut self) -> bool {
+        self.skip_ws();
+        self.eat_keyword("null")
+    }
+
+    /// Reads a bool.
+    pub fn bool(&mut self) -> Result<bool, Error> {
+        self.skip_ws();
+        if self.eat_keyword("true") {
+            Ok(true)
+        } else if self.eat_keyword("false") {
+            Ok(false)
+        } else {
+            Err(self.mismatch("bool"))
+        }
+    }
+
+    /// Reads a number as `f64` (integers widen).
+    pub fn f64(&mut self) -> Result<f64, Error> {
+        self.number_as("number", Value::as_f64)
+    }
+
+    /// Reads a number that is a non-negative integer (`1.0` counts).
+    pub fn u64(&mut self) -> Result<u64, Error> {
+        self.number_as("unsigned integer", Value::as_u64)
+    }
+
+    /// Reads a number that is an integer (`-1.0` counts).
+    pub fn i64(&mut self) -> Result<i64, Error> {
+        self.number_as("integer", Value::as_i64)
+    }
+
+    /// Reads a string: borrowed from the input unless it holds escapes.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, Error> {
+        self.skip_ws();
+        if self.byte() != Some(b'"') {
+            return Err(self.mismatch("string"));
+        }
+        self.pos += 1;
+        // The unescaped run being read, and the text before it once an
+        // escape forced a copy. `"` and `\` are ASCII, so every cut is
+        // a char boundary.
+        let mut run = self.pos;
+        let mut decoded: Option<String> = None;
+        loop {
+            match self.byte() {
+                None => return Err(Error::msg("unterminated string")),
+                Some(b'"') => {
+                    let tail = &self.src[run..self.pos];
+                    self.pos += 1;
+                    return Ok(match decoded {
+                        None => Cow::Borrowed(tail),
+                        Some(mut text) => {
+                            text.push_str(tail);
+                            Cow::Owned(text)
+                        }
+                    });
+                }
+                Some(b'\\') => {
+                    let text = decoded.get_or_insert_with(String::new);
+                    text.push_str(&self.src[run..self.pos]);
+                    self.pos += 1;
+                    self.escape(text)?;
+                    run = self.pos;
+                }
+                Some(_) => self.pos += 1,
+            }
+        }
+    }
+
+    /// Reads an array, calling `item` once per element; `item` must
+    /// consume exactly one value.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.open(b'[', "array")?;
+        if self.eat(b']') {
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            if !self.more(b']')? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Reads an object, calling `entry` with each key in source order;
+    /// `entry` must consume exactly one value (the entry's).
+    pub fn object(
+        &mut self,
+        mut entry: impl FnMut(&mut Self, &str) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.open(b'{', "object")?;
+        if self.eat(b'}') {
+            return Ok(());
+        }
+        loop {
+            let key = self.key()?;
+            entry(self, &key)?;
+            if !self.more(b'}')? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Consumes one value of any shape after checking its syntax as
+    /// strictly as [`Reader::value`] would. Iterative, so no nesting
+    /// depth can overflow the stack.
+    pub fn skip_value(&mut self) -> Result<(), Error> {
+        // The containers open around the cursor, innermost last: `true`
+        // for an object.
+        let mut open: Vec<bool> = Vec::new();
+        loop {
+            self.skip_ws();
+            match self.byte() {
+                Some(b'{') => {
+                    self.pos += 1;
+                    if !self.eat(b'}') {
+                        open.push(true);
+                        self.key()?;
+                        continue;
+                    }
+                }
+                Some(b'[') => {
+                    self.pos += 1;
+                    if !self.eat(b']') {
+                        open.push(false);
+                        continue;
+                    }
+                }
+                Some(b'"') => {
+                    self.str()?;
+                }
+                Some(b'-' | b'0'..=b'9') => {
+                    self.number("value")?;
+                }
+                _ => {
+                    if !(self.eat_keyword("null")
+                        || self.eat_keyword("true")
+                        || self.eat_keyword("false"))
+                    {
+                        return Err(self.mismatch("value"));
+                    }
+                }
+            }
+            // A value just ended: close every container it completed.
+            loop {
+                let Some(&in_object) = open.last() else {
+                    return Ok(());
+                };
+                if self.more(if in_object { b'}' } else { b']' })? {
+                    if in_object {
+                        self.key()?;
+                    }
+                    break;
+                }
+                open.pop();
+            }
+        }
+    }
+
+    /// Reads one value of any shape into a [`Value`] tree, refusing
+    /// containers nested deeper than [`MAX_DEPTH`].
+    pub fn value(&mut self) -> Result<Value, Error> {
+        self.value_at(0)
+    }
+
+    fn value_at(&mut self, depth: usize) -> Result<Value, Error> {
+        self.skip_ws();
+        match self.byte() {
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(Error::msg(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ))),
+            Some(b'{') => {
+                let mut entries = Vec::new();
+                self.object(|r, key| {
+                    entries.push((key.to_owned(), r.value_at(depth + 1)?));
+                    Ok(())
+                })?;
+                Ok(Value::Object(entries))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value_at(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
+            }
+            Some(b'"') => Ok(Value::Str(self.str()?.into_owned())),
+            Some(b'-' | b'0'..=b'9') => self.number("value"),
+            _ if self.eat_keyword("null") => Ok(Value::Null),
+            _ if self.eat_keyword("true") => Ok(Value::Bool(true)),
+            _ if self.eat_keyword("false") => Ok(Value::Bool(false)),
+            _ => Err(self.mismatch("value")),
+        }
+    }
+
+    fn byte(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
     fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
             true
         } else {
@@ -404,158 +607,106 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
-            Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(Error::msg(format!(
-                "unexpected `{}` at byte {}",
-                b as char, self.pos
-            ))),
-            None => Err(Error::msg("unexpected end of input")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
+    /// Consumes `delim` if it is the next non-whitespace byte.
+    fn eat(&mut self, delim: u8) -> bool {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.byte() == Some(delim) {
             self.pos += 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                _ => return Err(Error::msg(format!("expected `,` or `}}` at byte {}", self.pos))),
-            }
+            true
+        } else {
+            false
         }
     }
 
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    fn open(&mut self, delim: u8, expected: &str) -> Result<(), Error> {
+        if self.eat(delim) {
+            Ok(())
+        } else {
+            Err(self.mismatch(expected))
+        }
+    }
+
+    /// After a container element: `true` past a `,`, `false` past the
+    /// closing delimiter.
+    fn more(&mut self, close: u8) -> Result<bool, Error> {
+        if self.eat(b',') {
+            Ok(true)
+        } else if self.eat(close) {
+            Ok(false)
+        } else {
+            Err(Error::msg(format!(
+                "expected `,` or `{}` at byte {}",
+                close as char, self.pos
+            )))
+        }
+    }
+
+    /// An object key and the `:` after it.
+    fn key(&mut self) -> Result<Cow<'a, str>, Error> {
+        let key = self.str()?;
+        if self.eat(b':') {
+            Ok(key)
+        } else {
+            Err(Error::msg(format!("expected `:` at byte {}", self.pos)))
+        }
+    }
+
+    /// The escape after a `\` inside a string.
+    fn escape(&mut self, out: &mut String) -> Result<(), Error> {
+        let Some(esc) = self.byte() else {
+            return Err(Error::msg("unterminated escape"));
+        };
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b't' => out.push('\t'),
+            b'r' => out.push('\r'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => {
+                let hex = self
+                    .src
+                    .get(self.pos..self.pos + 4)
+                    .ok_or_else(|| Error::msg("truncated \\u escape"))?;
+                self.pos += 4;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| Error::msg("invalid \\u escape"))?;
+                // Surrogate pairs are not produced by our writer; map
+                // lone surrogates to the replacement char.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            other => return Err(Error::msg(format!("invalid escape `\\{}`", other as char))),
+        }
+        Ok(())
+    }
+
+    /// Reads a number as [`Value::UInt`], [`Value::Int`] or
+    /// [`Value::Num`]: integers without a fraction or exponent stay
+    /// exact, everything else goes through `f64`.
+    fn number(&mut self, expected: &str) -> Result<Value, Error> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error::msg(format!("expected `,` or `]` at byte {}", self.pos))),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err(Error::msg("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(Error::msg("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::msg("truncated \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::msg("invalid \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::msg("invalid \\u escape"))?;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(Error::msg(format!(
-                                "invalid escape `\\{}`",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                _ => {
-                    // Collect the full UTF-8 sequence starting at pos-1.
-                    let start = self.pos - 1;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| b & 0xC0 == 0x80)
-                    {
-                        self.pos += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| Error::msg("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
+        let bytes = self.src.as_bytes();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let mut end = start;
+        match bytes.get(end) {
+            Some(b'-') => end += 1,
+            Some(b'0'..=b'9') => {}
+            _ => return Err(self.mismatch(expected)),
         }
         let mut is_float = false;
-        while let Some(b) = self.peek() {
+        while let Some(&b) = bytes.get(end) {
             match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
                 _ => break,
             }
+            end += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::msg("invalid number"))?;
+        self.pos = end;
+        let text = &self.src[start..end];
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::UInt(u));
@@ -566,6 +717,41 @@ impl<'a> Parser<'a> {
         }
         text.parse::<f64>()
             .map(Value::Num)
-            .map_err(|_| Error::msg(format!("invalid number `{text}`")))
+            .map_err(|_| Error::msg(format!("invalid number `{text}` at byte {start}")))
+    }
+
+    fn number_as<T>(
+        &mut self,
+        expected: &str,
+        convert: impl FnOnce(&Value) -> Option<T>,
+    ) -> Result<T, Error> {
+        self.skip_ws();
+        let start = self.pos;
+        let n = self.number(expected)?;
+        convert(&n).ok_or_else(|| {
+            Error::msg(format!(
+                "expected {expected}, found `{}` at byte {start}",
+                &self.src[start..self.pos]
+            ))
+        })
+    }
+
+    /// "expected X, found Y at byte N" for the token at the cursor.
+    fn mismatch(&self, expected: &str) -> Error {
+        let rest = &self.src[self.pos..];
+        let found = match rest.as_bytes().first() {
+            None => "end of input".to_owned(),
+            Some(b'{') => "object".to_owned(),
+            Some(b'[') => "array".to_owned(),
+            Some(b'"') => "string".to_owned(),
+            Some(b'-' | b'0'..=b'9') => "number".to_owned(),
+            _ if rest.starts_with("null") => "null".to_owned(),
+            _ if rest.starts_with("true") || rest.starts_with("false") => "bool".to_owned(),
+            _ => format!("`{}`", rest.chars().next().unwrap_or_default()),
+        };
+        Error::msg(format!(
+            "expected {expected}, found {found} at byte {}",
+            self.pos
+        ))
     }
 }

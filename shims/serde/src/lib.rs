@@ -5,10 +5,13 @@
 //! `[patch.crates-io]`. It is deliberately *not* a generic
 //! serializer-framework: the workspace only ever serializes to and from
 //! JSON, so the two traits here speak the in-crate [`json`] data model
-//! directly. The derive macros (re-exported from the sibling
-//! `serde_derive` shim) generate impls against this surface, and the
-//! `serde_json` shim provides the usual `to_string`/`from_str` entry
-//! points on top.
+//! directly. [`Serialize`] drives a [`json::Writer`]; [`Deserialize`]
+//! pulls tokens from a [`json::Reader`] cursor, so a typed decode walks
+//! the text once and builds its `Vec`s and structs directly, with no
+//! intermediate [`json::Value`] tree. The derive macros (re-exported
+//! from the sibling `serde_derive` shim) generate impls against this
+//! surface, and the `serde_json` shim provides the usual
+//! `to_string`/`from_str` entry points on top.
 //!
 //! Determinism note: everything serializes in declaration/insertion
 //! order, and unordered collections (`HashSet`) are sorted before
@@ -26,10 +29,10 @@ pub trait Serialize {
     fn serialize_json(&self, w: &mut json::Writer);
 }
 
-/// A value that can reconstruct itself from a parsed [`json::Value`].
+/// A value that can decode itself from a JSON [`json::Reader`].
 pub trait Deserialize: Sized {
-    /// Builds `Self` from a JSON value.
-    fn deserialize_json(v: &json::Value) -> Result<Self, json::Error>;
+    /// Reads exactly one JSON value from the cursor and builds `Self`.
+    fn deserialize_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error>;
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -45,8 +48,8 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
-        T::deserialize_json(v).map(Box::new)
+    fn deserialize_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+        T::deserialize_json(r).map(Box::new)
     }
 }
 
@@ -58,10 +61,8 @@ macro_rules! impl_unsigned {
             }
         }
         impl Deserialize for $t {
-            fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
-                let u = v.as_u64().ok_or_else(|| {
-                    json::Error::msg(format!("expected unsigned integer, found {}", v.kind()))
-                })?;
+            fn deserialize_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+                let u = r.u64()?;
                 <$t>::try_from(u).map_err(|_| {
                     json::Error::msg(format!("{u} out of range for {}", stringify!($t)))
                 })
@@ -79,10 +80,8 @@ macro_rules! impl_signed {
             }
         }
         impl Deserialize for $t {
-            fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
-                let i = v.as_i64().ok_or_else(|| {
-                    json::Error::msg(format!("expected integer, found {}", v.kind()))
-                })?;
+            fn deserialize_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+                let i = r.i64()?;
                 <$t>::try_from(i).map_err(|_| {
                     json::Error::msg(format!("{i} out of range for {}", stringify!($t)))
                 })
@@ -99,14 +98,13 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
-    fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
-        match v {
-            // Non-finite floats serialize as JSON null; round them back
-            // to NaN so summary structs survive a round trip.
-            json::Value::Null => Ok(f64::NAN),
-            _ => v
-                .as_f64()
-                .ok_or_else(|| json::Error::msg(format!("expected number, found {}", v.kind()))),
+    fn deserialize_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+        // Non-finite floats serialize as JSON null; round them back to
+        // NaN so summary structs survive a round trip.
+        if r.eat_null() {
+            Ok(f64::NAN)
+        } else {
+            r.f64()
         }
     }
 }
@@ -118,8 +116,8 @@ impl Serialize for f32 {
 }
 
 impl Deserialize for f32 {
-    fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
-        f64::deserialize_json(v).map(|x| x as f32)
+    fn deserialize_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+        f64::deserialize_json(r).map(|x| x as f32)
     }
 }
 
@@ -130,9 +128,8 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
-        v.as_bool()
-            .ok_or_else(|| json::Error::msg(format!("expected bool, found {}", v.kind())))
+    fn deserialize_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+        r.bool()
     }
 }
 
@@ -149,10 +146,8 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
-        v.as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| json::Error::msg(format!("expected string, found {}", v.kind())))
+    fn deserialize_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+        r.str().map(std::borrow::Cow::into_owned)
     }
 }
 
@@ -173,8 +168,8 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
-        let items = Vec::<T>::deserialize_json(v)?;
+    fn deserialize_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+        let items = Vec::<T>::deserialize_json(r)?;
         let got = items.len();
         items
             .try_into()
@@ -189,11 +184,13 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
-        let items = v
-            .as_array()
-            .ok_or_else(|| json::Error::msg(format!("expected array, found {}", v.kind())))?;
-        items.iter().map(T::deserialize_json).collect()
+    fn deserialize_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+        let mut items = Vec::new();
+        r.array(|r| {
+            items.push(T::deserialize_json(r)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
@@ -219,19 +216,17 @@ where
     K: std::str::FromStr + std::hash::Hash + Eq,
     V: Deserialize,
 {
-    fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| json::Error::msg(format!("expected object, found {}", v.kind())))?;
-        entries
-            .iter()
-            .map(|(k, val)| {
-                let key = k
-                    .parse::<K>()
-                    .map_err(|_| json::Error::msg(format!("invalid map key {k:?}")))?;
-                Ok((key, V::deserialize_json(val)?))
-            })
-            .collect()
+    fn deserialize_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+        // A repeated key overwrites the earlier entry.
+        let mut map = Self::new();
+        r.object(|r, k| {
+            let key = k
+                .parse::<K>()
+                .map_err(|_| json::Error::msg(format!("invalid map key {k:?}")))?;
+            map.insert(key, V::deserialize_json(r)?);
+            Ok(())
+        })?;
+        Ok(map)
     }
 }
 
@@ -245,16 +240,17 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
-        match v {
-            json::Value::Null => Ok(None),
-            other => T::deserialize_json(other).map(Some),
+    fn deserialize_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+        if r.eat_null() {
+            Ok(None)
+        } else {
+            T::deserialize_json(r).map(Some)
         }
     }
 }
 
 macro_rules! impl_tuple {
-    ($len:literal; $($t:ident : $idx:tt),+) => {
+    ($len:literal; $($t:ident $slot:ident : $idx:tt),+) => {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn serialize_json(&self, w: &mut json::Writer) {
                 w.begin_array();
@@ -263,23 +259,30 @@ macro_rules! impl_tuple {
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
-                let items = v.as_array().ok_or_else(|| {
-                    json::Error::msg(format!("expected {}-tuple array, found {}", $len, v.kind()))
+            fn deserialize_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+                $(let mut $slot = None;)+
+                let mut len = 0usize;
+                r.array(|r| {
+                    match len {
+                        $($idx => $slot = Some($t::deserialize_json(r)?),)+
+                        _ => r.skip_value()?,
+                    }
+                    len += 1;
+                    Ok(())
                 })?;
-                if items.len() != $len {
-                    return Err(json::Error::msg(format!(
-                        "expected array of length {}, found {}", $len, items.len()
-                    )));
+                match ($($slot,)+) {
+                    ($(Some($slot),)+) if len == $len => Ok(($($slot,)+)),
+                    _ => Err(json::Error::msg(format!(
+                        "expected array of length {}, found {len}", $len
+                    ))),
                 }
-                Ok(($($t::deserialize_json(&items[$idx])?,)+))
             }
         }
     };
 }
-impl_tuple!(2; A: 0, B: 1);
-impl_tuple!(3; A: 0, B: 1, C: 2);
-impl_tuple!(4; A: 0, B: 1, C: 2, D: 3);
+impl_tuple!(2; A a: 0, B b: 1);
+impl_tuple!(3; A a: 0, B b: 1, C c: 2);
+impl_tuple!(4; A a: 0, B b: 1, C c: 2, D d: 3);
 
 impl<T> Serialize for std::collections::HashSet<T>
 where
@@ -301,10 +304,12 @@ impl<T> Deserialize for std::collections::HashSet<T>
 where
     T: Deserialize + Eq + std::hash::Hash,
 {
-    fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
-        let items = v
-            .as_array()
-            .ok_or_else(|| json::Error::msg(format!("expected array, found {}", v.kind())))?;
-        items.iter().map(T::deserialize_json).collect()
+    fn deserialize_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+        let mut items = Self::new();
+        r.array(|r| {
+            items.insert(T::deserialize_json(r)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }

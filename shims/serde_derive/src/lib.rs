@@ -16,12 +16,18 @@
 //! Anything else (generics, multi-field tuple structs, newtype enum
 //! variants) panics at compile time with a clear message, which is the
 //! signal to extend this shim.
+//!
+//! A derived `Deserialize` pulls its value from a `json::Reader` in one
+//! pass: an object decodes through a loop that dispatches each key to
+//! its field's slot.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 #[derive(Clone)]
 struct Field {
     name: String,
+    /// The field's type, as source text.
+    ty: String,
     skip: bool,
     default: bool,
 }
@@ -116,22 +122,27 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
             TokenTree::Punct(p) if p.as_char() == ':' => i += 1,
             other => panic!("serde_derive shim: expected `:` after `{name}`, found `{other}`"),
         }
-        // Consume the type: everything until a comma at angle-bracket depth 0.
+        // The type: everything until a comma at angle-bracket depth 0.
+        let ty_start = i;
         let mut depth = 0i32;
         while i < tokens.len() {
             match &tokens[i] {
                 TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
                 TokenTree::Punct(p) if p.as_char() == '>' => depth -= 1,
-                TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 => {
-                    i += 1;
-                    break;
-                }
+                TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 => break,
                 _ => {}
             }
             i += 1;
         }
+        let ty = tokens[ty_start..i]
+            .iter()
+            .cloned()
+            .collect::<TokenStream>()
+            .to_string();
+        i += 1;
         fields.push(Field {
             name,
+            ty,
             skip: flags.skip,
             default: flags.default,
         });
@@ -311,85 +322,93 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     ))
 }
 
-fn named_fields_ctor(fields: &[Field], obj_expr: &str) -> String {
-    let mut b = String::new();
+/// An expression that reads one object into `ctor { ..fields }` (a
+/// struct or a struct variant of `ty`). It is a key-dispatch loop over
+/// the object's entries with one slot per field: the first occurrence
+/// of a key wins, and repeated, unknown and `#[serde(skip)]` keys are
+/// skipped after a syntax check. A missing field decodes as `null`
+/// would (see `json::missing`) unless it is `#[serde(default)]`.
+fn named_fields_decode(ty: &str, ctor: &str, fields: &[Field]) -> String {
+    let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
+    let mut slots = String::new();
+    let mut arms = String::new();
+    for f in &live {
+        let (n, t) = (&f.name, &f.ty);
+        slots.push_str(&format!(
+            "let mut __{n}: ::core::option::Option<{t}> = ::core::option::Option::None;"
+        ));
+        arms.push_str(&format!(
+            "\"{n}\" if __{n}.is_none() => __{n} = \
+             ::core::option::Option::Some(::serde::Deserialize::deserialize_json(r)?),"
+        ));
+    }
+    let mut init = String::new();
     for f in fields {
         let n = &f.name;
-        if f.skip {
-            b.push_str(&format!("{n}: ::core::default::Default::default(),"));
+        init.push_str(&if f.skip {
+            format!("{n}: ::core::default::Default::default(),")
         } else if f.default {
-            b.push_str(&format!(
-                "{n}: match ::serde::json::find({obj_expr}, \"{n}\") {{\
-                 Some(x) => ::serde::Deserialize::deserialize_json(x)?,\
-                 None => ::core::default::Default::default() }},"
-            ));
+            format!("{n}: __{n}.unwrap_or_default(),")
         } else {
-            b.push_str(&format!(
-                "{n}: ::serde::Deserialize::deserialize_json(\
-                 ::serde::json::get({obj_expr}, \"{n}\"))?,"
-            ));
-        }
+            format!(
+                "{n}: match __{n} {{ ::core::option::Option::Some(v) => v, \
+                 ::core::option::Option::None => ::serde::json::missing(\"{ty}\", \"{n}\")? }},"
+            )
+        });
     }
-    b
+    format!(
+        "{{ {slots} r.object(|r, key| {{ match key {{ {arms} _ => r.skip_value()?, }} \
+         ::core::result::Result::Ok(()) }})?; {ctor} {{ {init} }} }}"
+    )
 }
 
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let name = &item.name;
+    let err = "::core::result::Result::Err(::serde::json::Error::msg";
     let body = match &item.shape {
         Shape::Newtype => format!(
-            "::core::result::Result::Ok({name}(::serde::Deserialize::deserialize_json(v)?))"
+            "::core::result::Result::Ok({name}(::serde::Deserialize::deserialize_json(r)?))"
         ),
         Shape::NamedStruct(fields) => format!(
-            "let obj = v.as_object().ok_or_else(|| \
-             ::serde::json::Error::msg(\"expected object for {name}\"))?;\
-             ::core::result::Result::Ok({name} {{ {ctor} }})",
-            ctor = named_fields_ctor(fields, "obj")
+            "::core::result::Result::Ok({})",
+            named_fields_decode(name, name, fields)
         ),
         Shape::Enum(variants) => {
-            let unit: Vec<&(String, Option<Vec<Field>>)> =
-                variants.iter().filter(|(_, f)| f.is_none()).collect();
-            let structured: Vec<&(String, Option<Vec<Field>>)> =
-                variants.iter().filter(|(_, f)| f.is_some()).collect();
+            // Unit variants are strings; struct variants are externally
+            // tagged, `{"Variant": {..fields..}}`, decided by the first
+            // entry (any further entries are skipped).
             let mut b = String::new();
+            let unit: String = variants
+                .iter()
+                .filter(|(_, f)| f.is_none())
+                .map(|(v, _)| format!("\"{v}\" => ::core::result::Result::Ok({name}::{v}),"))
+                .collect();
             if !unit.is_empty() {
-                let mut arms = String::new();
-                for (v, _) in &unit {
-                    arms.push_str(&format!(
-                        "\"{v}\" => return ::core::result::Result::Ok({name}::{v}),"
-                    ));
-                }
                 b.push_str(&format!(
-                    "if let Some(s) = v.as_str() {{ match s {{ {arms} other => return \
-                     ::core::result::Result::Err(::serde::json::Error::msg(format!(\
-                     \"unknown variant `{{other}}` for {name}\"))) }} }}"
+                    "if r.peek() == ::core::option::Option::Some(b'\"') {{ \
+                     return match &*r.str()? {{ {unit} other => {err}(format!(\
+                     \"unknown variant `{{other}}` for {name}\"))) }}; }}"
                 ));
             }
-            if !structured.is_empty() {
-                let mut arms = String::new();
-                for (v, fields) in &structured {
-                    let fs = fields.as_ref().expect("structured variant has fields");
-                    arms.push_str(&format!(
-                        "\"{v}\" => {{ let inner = val.as_object().ok_or_else(|| \
-                         ::serde::json::Error::msg(\"expected object body for {name}::{v}\"))?;\
-                         ::core::result::Result::Ok({name}::{v} {{ {ctor} }}) }},",
-                        ctor = named_fields_ctor(fs, "inner")
-                    ));
-                }
-                b.push_str(&format!(
-                    "let obj = v.as_object().ok_or_else(|| \
-                     ::serde::json::Error::msg(\"expected object for {name}\"))?;\
-                     let (tag, val) = obj.first().ok_or_else(|| \
-                     ::serde::json::Error::msg(\"empty enum object for {name}\"))?;\
-                     match tag.as_str() {{ {arms} other => \
-                     ::core::result::Result::Err(::serde::json::Error::msg(format!(\
-                     \"unknown variant `{{other}}` for {name}\"))) }}"
-                ));
+            let structured: String = variants
+                .iter()
+                .filter_map(|(v, f)| {
+                    let decode = named_fields_decode(name, &format!("{name}::{v}"), f.as_ref()?);
+                    Some(format!("\"{v}\" => {decode},"))
+                })
+                .collect();
+            if structured.is_empty() {
+                b.push_str(&format!("{err}(\"expected string variant for {name}\"))"));
             } else {
                 b.push_str(&format!(
-                    "::core::result::Result::Err(::serde::json::Error::msg(\
-                     \"expected string variant for {name}\"))"
+                    "let mut out: ::core::option::Option<Self> = ::core::option::Option::None;\
+                     r.object(|r, tag| {{ if out.is_some() {{ return r.skip_value(); }} \
+                     out = ::core::option::Option::Some(match tag {{ {structured} other => \
+                     return {err}(format!(\"unknown variant `{{other}}` for {name}\"))), }}); \
+                     ::core::result::Result::Ok(()) }})?;\
+                     out.ok_or_else(|| ::serde::json::Error::msg(\"empty enum object for {name}\"))"
                 ));
             }
             b
@@ -397,7 +416,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     };
     wrap_impl(format!(
         "impl ::serde::Deserialize for {name} {{\n\
-         fn deserialize_json(v: &::serde::json::Value) -> \
+         fn deserialize_json(r: &mut ::serde::json::Reader<'_>) -> \
          ::core::result::Result<Self, ::serde::json::Error> {{ {body} }}\n\
          }}"
     ))

@@ -5,6 +5,8 @@
 
 pub use serde::json::{find, parse, Error, Value};
 
+use serde::json::Reader;
+
 /// Serializes a value to compact JSON.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut w = serde::json::Writer::new(false);
@@ -30,10 +32,13 @@ pub fn to_writer<W: std::io::Write, T: serde::Serialize + ?Sized>(
         .map_err(|e| Error::msg(format!("io error: {e}")))
 }
 
-/// Parses a value from a JSON string.
+/// Decodes a value from a JSON string in one pass; anything but
+/// whitespace after the value is an error.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
-    let value = serde::json::parse(s)?;
-    T::deserialize_json(&value)
+    let mut r = Reader::new(s);
+    let value = T::deserialize_json(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 /// Parses a value from a JSON reader.
