@@ -40,6 +40,7 @@ use hpcpower_sim::{
     SimOutput, DEFAULT_CHUNK_JOBS,
 };
 use hpcpower_trace::csv::ParseOptions;
+use hpcpower_trace::json::Sections;
 use hpcpower_trace::recover::{atomic_write_retry, RealFs};
 use hpcpower_trace::repair::{repair, RepairConfig, RepairPolicy};
 use hpcpower_trace::{csv, json, swf, validate, SystemSpec, TraceDataset};
@@ -204,8 +205,10 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
-fn load(path: &str) -> TraceDataset {
-    let dataset = json::load_dataset(Path::new(path))
+/// Loads the `sections` a command reads from `path` and validates them;
+/// sections left out are only syntax-checked (see [`json::Sections`]).
+fn load(path: &str, sections: Sections) -> TraceDataset {
+    let dataset = json::load_sections(Path::new(path), sections)
         .unwrap_or_else(|e| fail(format!("cannot load {path}: {e}")));
     validate::validate(&dataset).unwrap_or_else(|e| fail(format!("{path} is invalid: {e}")));
     dataset
@@ -316,7 +319,8 @@ fn write_simulate_outputs(
             f.duplicated_rows,
             f.swapped_rows
         )?,
-        None => validate::validate(&dataset).map_err(|e| e.to_string())?,
+        None => hpcpower_obs::time("simulate.validate", || validate::validate(&dataset))
+            .map_err(|e| e.to_string())?,
     }
     let out: PathBuf = args
         .get("out")
@@ -324,21 +328,36 @@ fn write_simulate_outputs(
         .unwrap_or_else(|| PathBuf::from(default_out));
     std::fs::create_dir_all(&out)
         .map_err(|e| CliError::io(format!("cannot create {}: {e}", out.display())))?;
-    let mut jobs_csv = Vec::new();
-    csv::write_jobs(&mut jobs_csv, &dataset.jobs, &dataset.summaries)
-        .map_err(CliError::io)?;
-    publish(&out.join("jobs.csv"), &jobs_csv)?;
-    let mut system_csv = Vec::new();
-    csv::write_system(&mut system_csv, &dataset.system_series).map_err(CliError::io)?;
-    publish(&out.join("system.csv"), &system_csv)?;
+    let (jobs_csv, system_csv) = hpcpower_obs::time("simulate.encode.csv", || {
+        let (mut jobs_csv, mut system_csv) = (Vec::new(), Vec::new());
+        csv::write_jobs(&mut jobs_csv, &dataset.jobs, &dataset.summaries)?;
+        csv::write_system(&mut system_csv, &dataset.system_series)?;
+        Ok::<_, hpcpower_trace::TraceError>((jobs_csv, system_csv))
+    })
+    .map_err(CliError::io)?;
     let mut dataset_json = Vec::new();
-    json::write_dataset(&mut dataset_json, &dataset).map_err(CliError::io)?;
-    publish(&out.join("dataset.json"), &dataset_json)?;
+    hpcpower_obs::time("simulate.encode.json", || {
+        json::write_dataset(&mut dataset_json, &dataset)
+    })
+    .map_err(CliError::io)?;
+    let mut artifacts = vec![
+        ("jobs.csv", jobs_csv),
+        ("system.csv", system_csv),
+        ("dataset.json", dataset_json),
+    ];
     if args.has("swf") {
         let mut workload = Vec::new();
-        swf::write_swf(&mut workload, &dataset).map_err(CliError::io)?;
-        publish(&out.join("workload.swf"), &workload)?;
+        hpcpower_obs::time("simulate.encode.swf", || {
+            swf::write_swf(&mut workload, &dataset)
+        })
+        .map_err(CliError::io)?;
+        artifacts.push(("workload.swf", workload));
     }
+    hpcpower_obs::time("simulate.publish", || {
+        artifacts
+            .iter()
+            .try_for_each(|(name, bytes)| publish(&out.join(name), bytes))
+    })?;
     outln!(
         "{}: {} jobs, {} instrumented series -> {}",
         dataset.system.name,
@@ -360,6 +379,7 @@ fn cmd_analyze(args: &Args) -> Result<(), CliError> {
     let splits: usize = args.get_or("splits", 5)?;
     // With --repair-policy the dataset may be dirty: load it without the
     // up-front validation, repair it, and only then insist on validity.
+    // Repair rewrites series, so it decodes every section.
     let (dataset, quality) = match args.get("repair-policy") {
         Some(p) => {
             let policy: RepairPolicy = p.parse()?;
@@ -370,7 +390,7 @@ fn cmd_analyze(args: &Args) -> Result<(), CliError> {
                 .map_err(|e| format!("{path} is invalid even after repair: {e}"))?;
             (dataset, Some(quality))
         }
-        None => (load(path), None),
+        None => (load(path, Sections::Analysis), None),
     };
     let cfg = PredictionConfig {
         n_splits: splits,
@@ -497,8 +517,8 @@ fn cmd_ingest(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_compare(args: &Args) -> Result<(), CliError> {
-    let a = load(args.get("a").ok_or("missing --a PATH")?);
-    let b = load(args.get("b").ok_or("missing --b PATH")?);
+    let a = load(args.get("a").ok_or("missing --a PATH")?, Sections::Analysis);
+    let b = load(args.get("b").ok_or("missing --b PATH")?, Sections::Analysis);
     let cfg = PredictionConfig {
         n_splits: args.get_or("splits", 3)?,
         ..Default::default()
@@ -512,7 +532,10 @@ fn cmd_compare(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_predict(args: &Args) -> Result<(), CliError> {
-    let dataset = load(args.get("data").ok_or("missing --data PATH")?);
+    let dataset = load(
+        args.get("data").ok_or("missing --data PATH")?,
+        Sections::Prediction,
+    );
     let user: u32 = args.get_parsed("user")?.ok_or("missing --user U")?;
     let nodes: f64 = args.get_parsed("nodes")?.ok_or("missing --nodes N")?;
     let walltime_h: f64 = args
@@ -533,7 +556,10 @@ fn cmd_predict(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_powercap(args: &Args) -> Result<(), CliError> {
-    let dataset = load(args.get("data").ok_or("missing --data PATH")?);
+    let dataset = load(
+        args.get("data").ok_or("missing --data PATH")?,
+        Sections::Analysis,
+    );
     let cfg = PredictionConfig {
         n_splits: 3,
         ..Default::default()

@@ -3,12 +3,103 @@
 //! CSV ([`crate::csv`]) is the interchange format for the flat tables;
 //! JSON carries the full nested dataset (including instrumented series
 //! and the system spec) for archival and for the figure harnesses.
+//!
+//! A reader that needs only some sections decodes just those
+//! ([`Sections`]); the rest of the document is checked for JSON syntax
+//! and nothing else, which costs a scan of its bytes.
 
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::dataset::TraceDataset;
+use serde::Deserialize;
+
+use crate::dataset::{SystemSample, TraceDataset};
+use crate::job::{JobPowerSummary, JobRecord};
+use crate::system::SystemSpec;
 use crate::{Result, TraceError};
+
+/// Which sections of a dataset document a read decodes.
+///
+/// A section left out is checked for JSON syntax only and comes back
+/// empty, so it may be missing, misshapen or of the wrong type without
+/// failing the read; a syntax error anywhere, a malformed number
+/// included, still does. Only [`Sections::All`] checks the shape of
+/// every series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sections {
+    /// The whole [`TraceDataset`].
+    All,
+    /// Everything but `instrumented`: what the report analyses read.
+    /// `system_series` stays, for the system-level figures and the
+    /// trace's day count.
+    Analysis,
+    /// `system`, `jobs`, `summaries`, `app_names` and `user_count`:
+    /// what a submit-time prediction reads.
+    Prediction,
+}
+
+/// The analysis sections (see [`Sections::Analysis`]); any other key is
+/// skipped after a syntax check.
+#[derive(Deserialize)]
+struct AnalysisInput {
+    system: SystemSpec,
+    jobs: Vec<JobRecord>,
+    summaries: Vec<JobPowerSummary>,
+    system_series: Vec<SystemSample>,
+    app_names: Vec<String>,
+    user_count: u32,
+}
+
+/// The prediction sections (see [`Sections::Prediction`]); any other
+/// key is skipped after a syntax check.
+#[derive(Deserialize)]
+struct PredictionInput {
+    system: SystemSpec,
+    jobs: Vec<JobRecord>,
+    summaries: Vec<JobPowerSummary>,
+    app_names: Vec<String>,
+    user_count: u32,
+}
+
+impl From<AnalysisInput> for TraceDataset {
+    fn from(d: AnalysisInput) -> Self {
+        TraceDataset {
+            system: d.system,
+            jobs: d.jobs,
+            summaries: d.summaries,
+            system_series: d.system_series,
+            instrumented: Vec::new(),
+            app_names: d.app_names,
+            user_count: d.user_count,
+            index: Default::default(),
+        }
+    }
+}
+
+impl From<PredictionInput> for TraceDataset {
+    fn from(d: PredictionInput) -> Self {
+        TraceDataset {
+            system: d.system,
+            jobs: d.jobs,
+            summaries: d.summaries,
+            system_series: Vec::new(),
+            instrumented: Vec::new(),
+            app_names: d.app_names,
+            user_count: d.user_count,
+            index: Default::default(),
+        }
+    }
+}
+
+/// Decodes `sections` of one dataset document.
+fn decode(text: &str, sections: Sections) -> Result<TraceDataset> {
+    match sections {
+        Sections::All => serde_json::from_str(text),
+        Sections::Analysis => serde_json::from_str::<AnalysisInput>(text).map(Into::into),
+        Sections::Prediction => serde_json::from_str::<PredictionInput>(text).map(Into::into),
+    }
+    .map_err(|e| TraceError::Invalid(e.to_string()))
+}
 
 /// Serializes a dataset to a JSON writer.
 pub fn write_dataset<W: Write>(w: W, dataset: &TraceDataset) -> Result<()> {
@@ -17,7 +108,14 @@ pub fn write_dataset<W: Write>(w: W, dataset: &TraceDataset) -> Result<()> {
 
 /// Deserializes a dataset from a JSON reader.
 pub fn read_dataset<R: Read>(r: R) -> Result<TraceDataset> {
-    serde_json::from_reader(r).map_err(|e| TraceError::Invalid(e.to_string()))
+    read_sections(r, Sections::All)
+}
+
+/// Deserializes `sections` of a dataset from a JSON reader.
+pub fn read_sections<R: Read>(mut r: R, sections: Sections) -> Result<TraceDataset> {
+    let mut text = String::new();
+    r.read_to_string(&mut text)?;
+    decode(&text, sections)
 }
 
 /// Writes a dataset to a JSON file.
@@ -27,18 +125,22 @@ pub fn save_dataset(path: &Path, dataset: &TraceDataset) -> Result<()> {
 }
 
 /// Reads a dataset from a JSON file.
+pub fn load_dataset(path: &Path) -> Result<TraceDataset> {
+    load_sections(path, Sections::All)
+}
+
+/// Reads `sections` of a dataset from a JSON file.
 ///
 /// The analyze/report load path: the file is read **once** into a
 /// single buffer (the same single-read discipline as the
 /// [`crate::ingest`] engine) and decoded from memory, with
 /// `trace.ingest.*` byte/throughput telemetry recorded when the obs
 /// gate is on.
-pub fn load_dataset(path: &Path) -> Result<TraceDataset> {
+pub fn load_sections(path: &Path, sections: Sections) -> Result<TraceDataset> {
     hpcpower_obs::time("trace.ingest.dataset_json", || {
         let started = std::time::Instant::now();
         let text = std::fs::read_to_string(path)?;
-        let dataset: TraceDataset =
-            serde_json::from_str(&text).map_err(|e| TraceError::Invalid(e.to_string()))?;
+        let dataset = decode(&text, sections)?;
         hpcpower_obs::counter_add("trace.ingest.bytes", text.len() as u64);
         let secs = started.elapsed().as_secs_f64();
         if secs > 0.0 {
@@ -153,6 +255,41 @@ mod tests {
     fn zero_dimension_series_is_invalid() {
         assert_invalid_naming_job0(&with_series(r#"{"id":0,"nodes":0,"minutes":3,"samples":[]}"#));
         assert_invalid_naming_job0(&with_series(r#"{"id":0,"nodes":2,"minutes":0,"samples":[]}"#));
+    }
+
+    /// Reads `text` as the full dataset and as both section loads.
+    fn read_all_three(text: &str) -> [Result<TraceDataset>; 3] {
+        [Sections::All, Sections::Analysis, Sections::Prediction]
+            .map(|sections| read_sections(text.as_bytes(), sections))
+    }
+
+    #[test]
+    fn section_loads_only_syntax_check_what_they_skip() {
+        // A misshapen but well-formed series fails the full load only.
+        let short = with_series(r#"{"id":0,"nodes":2,"minutes":3,"samples":[118.0]}"#);
+        let [all, analysis, prediction] = read_all_three(&short);
+        assert!(matches!(all, Err(TraceError::Invalid(_))), "{all:?}");
+        assert_eq!(analysis.unwrap().instrumented, vec![]);
+        assert_eq!(prediction.unwrap().jobs, dataset().jobs);
+        // A system series of the wrong type fails every load that reads it.
+        let d = dataset();
+        let text = serde_json::to_string(&d).unwrap();
+        let series = serde_json::to_string(&d.system_series).unwrap();
+        let wrong_type = text.replacen(&series, r#""none""#, 1);
+        let [all, analysis, prediction] = read_all_three(&wrong_type);
+        assert!(all.is_err() && analysis.is_err());
+        let prediction = prediction.unwrap();
+        assert_eq!(prediction.system_series, vec![]);
+        assert_eq!(prediction.summaries, d.summaries);
+        // A malformed number inside the series fails all three.
+        let bad_number =
+            with_series(r#"{"id":0,"nodes":2,"minutes":3,"samples":[01,1,1,1,1,1]}"#);
+        for read in read_all_three(&bad_number) {
+            match read {
+                Err(TraceError::Invalid(msg)) => assert!(msg.contains("invalid number"), "{msg}"),
+                other => panic!("expected an invalid number, got {other:?}"),
+            }
+        }
     }
 
     #[test]

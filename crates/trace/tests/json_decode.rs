@@ -1,13 +1,17 @@
 //! The dataset decode contract on a simulated trace: decoding is exact
 //! (re-encoding a decoded `dataset.json` reproduces it byte for byte, so
 //! every f64 comes back bit-identical), and a damaged file, cut short or
-//! with one bit flipped, is an error or a dataset, never a panic.
+//! with one bit flipped, is an error or a dataset, never a panic, for
+//! the full decode and for both section loads.
 
 use std::sync::OnceLock;
 
 use hpcpower_sim::{ClusterSim, SimConfig};
-use hpcpower_trace::{json, TraceDataset};
+use hpcpower_trace::json::{self, Sections};
+use hpcpower_trace::TraceDataset;
 use proptest::prelude::*;
+
+const SECTIONS: [Sections; 3] = [Sections::All, Sections::Analysis, Sections::Prediction];
 
 /// `dataset.json` of a small simulated Emmy trace with instrumented
 /// series, encoded once per test binary.
@@ -37,7 +41,12 @@ proptest! {
     fn truncated_trace_is_an_error(cut in 0.0f64..1.0) {
         let bytes = trace_bytes();
         let len = (cut * bytes.len() as f64) as usize;
-        prop_assert!(json::read_dataset(&bytes[..len]).is_err(), "decoded a trace cut at byte {len}");
+        for sections in SECTIONS {
+            prop_assert!(
+                json::read_sections(&bytes[..len], sections).is_err(),
+                "{sections:?} decoded a trace cut at byte {len}"
+            );
+        }
     }
 
     #[test]
@@ -45,6 +54,8 @@ proptest! {
         let mut bytes = trace_bytes().to_vec();
         let i = (at * bytes.len() as f64) as usize;
         bytes[i] ^= 1 << bit;
-        let _ = json::read_dataset(&bytes[..]);
+        for sections in SECTIONS {
+            let _ = json::read_sections(&bytes[..], sections);
+        }
     }
 }

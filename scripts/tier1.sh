@@ -221,4 +221,25 @@ echo "resume smoke: kill -> resume is byte-identical"
 ./target/release/hpcpower chaos run --dir "$SMOKE_DIR/chaos" \
     || echo "warning: chaos matrix reported a failure (soft gate, not failing)" >&2
 
+# Benchmark output checks: a one-second run of each perfbench workload
+# must report every op's output correct and no op failed. Only the
+# checks gate; the timings of so short a run are not inputs.
+if command -v python3 >/dev/null 2>&1; then
+    for workload in simulate-publish analyze-report predict-query; do
+        python3 perfbench/run.py --workload "$workload" --seed 3 --seconds 1 \
+            --trace 0 > "$SMOKE_DIR/bench-$workload.out"
+        python3 - "$workload" "$SMOKE_DIR/bench-$workload.out" <<'EOF'
+import json, sys
+workload, path = sys.argv[1], sys.argv[2]
+with open(path) as f:
+    last = f.read().splitlines()[-1]
+r = json.loads(last)
+assert r["correct"] is True and r["failed"] == 0, f"{workload}: {last}"
+print(f"bench check: {workload} correct, {r['attempted']} ops, 0 failed")
+EOF
+    done
+else
+    echo "bench check: skipped (python3 unavailable)"
+fi
+
 echo "tier1: OK"

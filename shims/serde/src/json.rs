@@ -5,6 +5,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::io;
 
 /// A parsed JSON value. Integers are kept apart from floats so `u64`
 /// round trips losslessly.
@@ -164,34 +165,80 @@ impl std::error::Error for Error {}
 // ---------------------------------------------------------------------------
 // Writer
 
+/// How many bytes of text a streaming [`Writer`] gathers before it
+/// hands them to its sink.
+pub const WRITE_CHUNK: usize = 64 * 1024;
+
 /// Streams JSON text with automatic comma/indent management.
 ///
 /// Generated `Serialize` impls drive this with `begin_object`/`key`/
 /// scalar-write calls; the writer tracks container nesting so the output
-/// is always syntactically valid and byte-deterministic.
-#[derive(Debug)]
-pub struct Writer {
+/// is always syntactically valid and byte-deterministic. A writer made
+/// with [`Writer::new`] builds the whole text in memory; one made with
+/// [`Writer::streaming`] passes it on to an `io::Write` about
+/// [`WRITE_CHUNK`] bytes at a time, so it never holds the whole
+/// document.
+pub struct Writer<'w> {
     out: String,
     pretty: bool,
     /// One entry per open container: whether it already holds a value.
     stack: Vec<bool>,
     after_key: bool,
+    /// Where full chunks of `out` go; with none, `out` is the document.
+    sink: Option<&'w mut dyn io::Write>,
+    /// The sink's first error. Nothing more is written after it.
+    error: Option<io::Error>,
 }
 
-impl Writer {
-    /// Creates a writer; `pretty` enables two-space indentation.
+impl<'w> Writer<'w> {
+    /// Creates a writer that builds the text in memory; `pretty`
+    /// enables two-space indentation.
     pub fn new(pretty: bool) -> Self {
         Self {
             out: String::new(),
             pretty,
             stack: Vec::new(),
             after_key: false,
+            sink: None,
+            error: None,
         }
     }
 
-    /// Finishes writing and returns the JSON text.
+    /// Creates a compact writer that streams its text into `sink`.
+    /// Call [`Writer::finish`] to write the rest and see any error.
+    pub fn streaming(sink: &'w mut dyn io::Write) -> Self {
+        Self {
+            out: String::with_capacity(WRITE_CHUNK),
+            sink: Some(sink),
+            ..Self::new(false)
+        }
+    }
+
+    /// Finishes writing and returns the JSON text (of a writer made
+    /// with [`Writer::new`]).
     pub fn into_string(self) -> String {
         self.out
+    }
+
+    /// Writes whatever a streaming writer still holds and returns the
+    /// sink's first error, if it had one.
+    pub fn finish(mut self) -> io::Result<()> {
+        self.drain();
+        self.error.map_or(Ok(()), Err)
+    }
+
+    /// Hands the buffered text to the sink, if there is one; after the
+    /// sink's first error the text is dropped.
+    fn drain(&mut self) {
+        let Some(sink) = self.sink.as_mut() else {
+            return;
+        };
+        if self.error.is_none() {
+            if let Err(e) = sink.write_all(self.out.as_bytes()) {
+                self.error = Some(e);
+            }
+        }
+        self.out.clear();
     }
 
     fn newline_indent(&mut self) {
@@ -203,6 +250,9 @@ impl Writer {
 
     /// Comma/indent bookkeeping before a value or key is emitted.
     fn pre_value(&mut self) {
+        if self.out.len() >= WRITE_CHUNK {
+            self.drain();
+        }
         if self.after_key {
             self.after_key = false;
             return;
@@ -495,8 +545,10 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes one value of any shape after checking its syntax as
-    /// strictly as [`Reader::value`] would. Iterative, so no nesting
-    /// depth can overflow the stack.
+    /// strictly as [`Reader::value`] would. Numbers are checked against
+    /// the grammar but never converted, so skipping a section costs a
+    /// scan of its bytes. Iterative, so no nesting depth can overflow
+    /// the stack.
     pub fn skip_value(&mut self) -> Result<(), Error> {
         // The containers open around the cursor, innermost last: `true`
         // for an object.
@@ -523,7 +575,7 @@ impl<'a> Reader<'a> {
                     self.str()?;
                 }
                 Some(b'-' | b'0'..=b'9') => {
-                    self.number("value")?;
+                    self.scan_number("value")?;
                 }
                 _ => {
                     if !(self.eat_keyword("null")
@@ -683,30 +735,66 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    /// Scans one number by the JSON grammar (RFC 8259 §6) without
+    /// converting it, and returns its text and whether it has a fraction
+    /// or an exponent. Leading zeros (`01`), a `.` or exponent without
+    /// digits (`1.`, `1.e5`, `1e`) and a number running into another
+    /// number character (`1.2.3`) are errors. Decoding and
+    /// [`Reader::skip_value`] share it, so skipping accepts exactly
+    /// what decoding does.
+    fn scan_number(&mut self, expected: &str) -> Result<(&'a str, bool), Error> {
+        self.skip_ws();
+        let bytes = self.src.as_bytes();
+        let start = self.pos;
+        let digits = |from: usize| {
+            from + bytes[from..]
+                .iter()
+                .take_while(|b| b.is_ascii_digit())
+                .count()
+        };
+        let mut end = start + usize::from(bytes.get(start) == Some(&b'-'));
+        match bytes.get(end) {
+            Some(b'0') => end += 1,
+            Some(b'1'..=b'9') => end = digits(end + 1),
+            _ if end == start => return Err(self.mismatch(expected)),
+            _ => return Err(self.invalid_number(start)),
+        }
+        let mut is_float = false;
+        if bytes.get(end) == Some(&b'.') {
+            let frac_end = digits(end + 1);
+            if frac_end == end + 1 {
+                return Err(self.invalid_number(start));
+            }
+            (end, is_float) = (frac_end, true);
+        }
+        if matches!(bytes.get(end), Some(b'e' | b'E')) {
+            let exp_start = end + 1 + usize::from(matches!(bytes.get(end + 1), Some(b'+' | b'-')));
+            let exp_end = digits(exp_start);
+            if exp_end == exp_start {
+                return Err(self.invalid_number(start));
+            }
+            (end, is_float) = (exp_end, true);
+        }
+        if bytes.get(end).copied().is_some_and(is_number_byte) {
+            return Err(self.invalid_number(start));
+        }
+        self.pos = end;
+        Ok((&self.src[start..end], is_float))
+    }
+
+    /// "invalid number `…` at byte N", quoting the run of number
+    /// characters at `start`.
+    fn invalid_number(&self, start: usize) -> Error {
+        let rest = &self.src[start..];
+        let run = rest.bytes().take_while(|&b| is_number_byte(b)).count();
+        Error::msg(format!("invalid number `{}` at byte {start}", &rest[..run]))
+    }
+
     /// Reads a number as [`Value::UInt`], [`Value::Int`] or
     /// [`Value::Num`]: integers without a fraction or exponent stay
     /// exact, everything else goes through `f64`.
     fn number(&mut self, expected: &str) -> Result<Value, Error> {
-        self.skip_ws();
-        let bytes = self.src.as_bytes();
-        let start = self.pos;
-        let mut end = start;
-        match bytes.get(end) {
-            Some(b'-') => end += 1,
-            Some(b'0'..=b'9') => {}
-            _ => return Err(self.mismatch(expected)),
-        }
-        let mut is_float = false;
-        while let Some(&b) = bytes.get(end) {
-            match b {
-                b'0'..=b'9' => {}
-                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
-                _ => break,
-            }
-            end += 1;
-        }
-        self.pos = end;
-        let text = &self.src[start..end];
+        let (text, is_float) = self.scan_number(expected)?;
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::UInt(u));
@@ -715,9 +803,10 @@ impl<'a> Reader<'a> {
                 return Ok(Value::Int(i));
             }
         }
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| Error::msg(format!("invalid number `{text}` at byte {start}")))
+        text.parse::<f64>().map(Value::Num).map_err(|_| {
+            let start = self.pos - text.len();
+            Error::msg(format!("invalid number `{text}` at byte {start}"))
+        })
     }
 
     fn number_as<T>(
@@ -754,4 +843,9 @@ impl<'a> Reader<'a> {
             self.pos
         ))
     }
+}
+
+/// A byte that can occur in a JSON number.
+fn is_number_byte(b: u8) -> bool {
+    matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
 }

@@ -5,31 +5,32 @@
 
 pub use serde::json::{find, parse, Error, Value};
 
-use serde::json::Reader;
+use serde::json::{Reader, Writer};
 
 /// Serializes a value to compact JSON.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut w = serde::json::Writer::new(false);
+    let mut w = Writer::new(false);
     value.serialize_json(&mut w);
     Ok(w.into_string())
 }
 
 /// Serializes a value to two-space-indented JSON.
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut w = serde::json::Writer::new(true);
+    let mut w = Writer::new(true);
     value.serialize_json(&mut w);
     Ok(w.into_string())
 }
 
-/// Serializes a value as compact JSON into an `io::Write`.
+/// Serializes a value as compact JSON into an `io::Write`, in chunks of
+/// about [`serde::json::WRITE_CHUNK`] bytes: the whole text is never
+/// held in memory. The same bytes as [`to_string`].
 pub fn to_writer<W: std::io::Write, T: serde::Serialize + ?Sized>(
     mut writer: W,
     value: &T,
 ) -> Result<(), Error> {
-    let s = to_string(value)?;
-    writer
-        .write_all(s.as_bytes())
-        .map_err(|e| Error::msg(format!("io error: {e}")))
+    let mut w = Writer::streaming(&mut writer);
+    value.serialize_json(&mut w);
+    w.finish().map_err(|e| Error::msg(format!("io error: {e}")))
 }
 
 /// Decodes a value from a JSON string in one pass; anything but

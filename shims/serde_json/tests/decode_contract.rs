@@ -1,6 +1,7 @@
 //! The typed decode contract: what `from_str` accepts and rejects for
 //! derived structs and enums, std containers and scalars, and where the
-//! untyped `parse` stops nesting.
+//! untyped `parse` stops nesting; and that `to_writer` streams the same
+//! bytes as `to_string`.
 
 use serde::{Deserialize, Serialize};
 use serde_json::{from_str, parse, to_string, Value};
@@ -113,6 +114,30 @@ fn unknown_keys_are_skipped_after_a_syntax_check() {
         r#"{"id":1,"extra":}"#,
     ] {
         assert!(from_str::<Record>(bad).is_err(), "accepted {bad}");
+    }
+}
+
+#[test]
+fn numbers_follow_the_json_grammar() {
+    // RFC 8259 rejects leading zeros and a `.` or exponent without
+    // digits; decoding a known field and skipping an unknown key agree.
+    for bad in [
+        "01", "-01", "00", "1.", "0.", "1.e5", "1e", "1e+", "-", "+1", ".5", "1.2.3",
+    ] {
+        let known = format!(r#"{{"id":1,"power":{bad}}}"#);
+        assert!(from_str::<Record>(&known).is_err(), "decoded {known}");
+        let unknown = format!(r#"{{"id":1,"extra":[{bad}],"power":0.5}}"#);
+        assert!(from_str::<Record>(&unknown).is_err(), "skipped {unknown}");
+        assert!(parse(bad).is_err(), "parsed {bad}");
+    }
+    for good in [
+        "0", "-0", "0.5", "-0.0", "10", "1e5", "1E-7", "2.5e+3", "1e16",
+    ] {
+        let known = format!(r#"{{"id":1,"power":{good}}}"#);
+        let r: Record = from_str(&known).unwrap();
+        assert_eq!(r.power, good.parse::<f64>().unwrap(), "{good}");
+        let unknown = format!(r#"{{"id":1,"extra":[{good}],"power":0.5}}"#);
+        assert!(from_str::<Record>(&unknown).is_ok(), "{unknown}");
     }
 }
 
@@ -278,4 +303,78 @@ fn parse_round_trips_a_document() {
         serde_json::find(v.as_object().unwrap(), "d"),
         Some(&Value::Array(vec![]))
     );
+}
+
+#[test]
+fn to_writer_streams_the_bytes_of_to_string() {
+    let chunk = serde::json::WRITE_CHUNK;
+    let doc: Vec<Record> = (0..chunk as u32 / 4)
+        .map(|id| Record {
+            id,
+            power: f64::from(id) * 0.1,
+            note: (id % 3 == 0).then(|| "x".repeat(id as usize % 97)),
+        })
+        .collect();
+    let text = to_string(&doc).unwrap();
+    assert!(text.len() > 8 * chunk, "{} bytes", text.len());
+
+    /// Keeps what it is given and the size of the largest write.
+    #[derive(Default)]
+    struct Recorder {
+        bytes: Vec<u8>,
+        largest_write: usize,
+    }
+    impl std::io::Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.largest_write = self.largest_write.max(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let mut sink = Recorder::default();
+    serde_json::to_writer(&mut sink, &doc).unwrap();
+    assert!(sink.bytes == text.as_bytes());
+    // The text arrives in chunks: the writer never held the document.
+    assert!(sink.largest_write <= 2 * chunk, "{}", sink.largest_write);
+}
+
+#[test]
+fn to_writer_reports_a_failing_sink() {
+    /// Accepts `room` bytes, then fails every write.
+    struct Full {
+        room: usize,
+        written: usize,
+    }
+    impl std::io::Write for Full {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.written >= self.room {
+                return Err(std::io::Error::other("disk full"));
+            }
+            let n = buf.len().min(self.room - self.written);
+            self.written += n;
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let doc = vec![1.5f64; serde::json::WRITE_CHUNK];
+    let mut sink = Full {
+        room: serde::json::WRITE_CHUNK / 2,
+        written: 0,
+    };
+    let err = serde_json::to_writer(&mut sink, &doc)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("disk full"), "{err}");
+    assert_eq!(sink.written, serde::json::WRITE_CHUNK / 2);
+    // A sink that fails only at the end is an error too.
+    let mut sink = Full {
+        room: 4,
+        written: 0,
+    };
+    assert!(serde_json::to_writer(&mut sink, &[1u32, 2, 3]).is_err());
 }
