@@ -9,17 +9,15 @@
 //!    sampling "was observed to achieve acceptable overhead ... without
 //!    compromising accuracy". We recompute the temporal/spatial metrics
 //!    of the instrumented jobs at coarser strides and measure the drift.
-//! 2. **Model family sweep** — the three paper models plus the linear
-//!    baseline the paper dismisses and a random forest probing whether a
-//!    heavier model would have helped.
+//! 2. **Model family sweep** — the paper's three models, with KNN under
+//!    both user encodings (categorical match and the paper's numeric id).
 //! 3. **Tree hyper-parameters** — accuracy vs depth/min-leaf.
 //! 4. **Feature subsets** — what each of the three features contributes.
 
 use hpcpower::prediction::{self, PredictionConfig};
 use hpcpower::{spatial, temporal};
 use hpcpower_ml::{
-    evaluate, DecisionTree, EvalConfig, Flda, FldaConfig, ForestConfig, Knn, KnnConfig,
-    LinearModel, RandomForest, TreeConfig,
+    evaluate, DecisionTree, EvalConfig, Flda, FldaConfig, Knn, KnnConfig, TreeConfig,
 };
 use hpcpower_sim::{simulate, SimConfig};
 
@@ -72,33 +70,24 @@ fn main() {
     };
     println!("## Model families (5 random 80/20 splits)");
     println!("model              MAPE    <5% err  <10% err");
-    let mut rows: Vec<(String, hpcpower_ml::EvalReport)> = Vec::new();
-    rows.push((
-        "BDT (paper best)".into(),
-        evaluate(&data, &eval_cfg, |t| DecisionTree::fit(t, TreeConfig::default())),
-    ));
-    rows.push((
-        "KNN categorical".into(),
-        evaluate(&data, &eval_cfg, |t| Knn::fit(t, KnnConfig::default())),
-    ));
-    rows.push((
-        "KNN numeric-user".into(),
-        evaluate(&data, &eval_cfg, |t| Knn::fit(t, KnnConfig::paper())),
-    ));
-    rows.push((
-        "FLDA".into(),
-        evaluate(&data, &eval_cfg, |t| Flda::fit(t, FldaConfig::default())),
-    ));
-    rows.push((
-        "Linear (OLS)".into(),
-        evaluate(&data, &eval_cfg, LinearModel::fit),
-    ));
-    rows.push((
-        "RandomForest-20".into(),
-        evaluate(&data, &eval_cfg, |t| {
-            RandomForest::fit(t, ForestConfig::default())
-        }),
-    ));
+    let rows = [
+        (
+            "BDT (paper best)",
+            evaluate(&data, &eval_cfg, |t| DecisionTree::fit(t, TreeConfig::default())),
+        ),
+        (
+            "KNN categorical",
+            evaluate(&data, &eval_cfg, |t| Knn::fit(t, KnnConfig::default())),
+        ),
+        (
+            "KNN numeric-user",
+            evaluate(&data, &eval_cfg, |t| Knn::fit(t, KnnConfig::paper())),
+        ),
+        (
+            "FLDA",
+            evaluate(&data, &eval_cfg, |t| Flda::fit(t, FldaConfig::default())),
+        ),
+    ];
     for (name, report) in &rows {
         println!(
             "{name:<18} {:>5.1}%  {:>6.1}%  {:>7.1}%",
@@ -107,7 +96,7 @@ fn main() {
             report.fraction_below(0.10) * 100.0
         );
     }
-    println!("(the forest's gain over one tree is marginal — the paper's\n 'no complex model needed' claim holds; OLS collapses as predicted)\n");
+    println!();
 
     // ---- 3. Tree hyper-parameters --------------------------------------
     println!("## BDT depth / leaf-size sweep");

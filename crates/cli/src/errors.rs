@@ -11,7 +11,7 @@
 //! |      | boundary — rerun with `--resume RUN_DIR`                   |
 //!
 //! Code 4 is unassigned; the other codes keep their numbers because
-//! scripts and the chaos drills depend on them.
+//! scripts and tests depend on them.
 
 use hpcpower_sim::CheckpointError;
 

@@ -15,7 +15,6 @@ mod out;
 
 mod args;
 mod benchdiff;
-mod chaos;
 mod errors;
 mod profile;
 mod watchdog;
@@ -43,7 +42,7 @@ use hpcpower_trace::csv::ParseOptions;
 use hpcpower_trace::json::Sections;
 use hpcpower_trace::recover::{atomic_write_retry, RealFs};
 use hpcpower_trace::repair::{repair, RepairConfig, RepairPolicy};
-use hpcpower_trace::{csv, json, swf, validate, SystemSpec, TraceDataset};
+use hpcpower_trace::{csv, json, validate, SystemSpec, TraceDataset};
 
 const HELP: &str = "\
 hpcpower — HPC job power characterization & prediction
@@ -89,7 +88,6 @@ COMMANDS:
              --seed N               (default 1)
              --nodes N --days D --users U   scale the preset down
              --out DIR              (default ./trace-<system>)
-             --swf                  also export Standard Workload Format
              --faults R             inject monitoring faults at rate R
                                     (0..1; dirty output skips validation)
              --checkpoint-dir DIR   commit the run in durable chunks to a
@@ -151,13 +149,6 @@ COMMANDS:
                                     percent; exits 0 with a \"no
                                     baseline yet\" note when the history
                                     has fewer than two runs
-  chaos run  Deterministic crash/fault drills asserting the recovery
-             invariants (kill-resume byte identity, watchdog exit 6,
-             no unquarantined torn artifacts)
-             --scenario S           kill|stall|enospc|short-write|
-                                    fsync-fail|all (default all)
-             --dir DIR              scratch directory
-             --keep                 keep the scratch directory on success
   help       Show this text
 
 EXIT CODES:
@@ -179,9 +170,9 @@ const GLOBAL_FLAGS: &[&str] = &[
 fn command_flags(command: Option<&str>) -> Option<&'static [&'static str]> {
     Some(match command {
         Some("simulate") => &[
-            "system", "seed", "nodes", "days", "users", "out", "swf", "faults",
-            "checkpoint-dir", "chunk-jobs", "resume", "chaos-kill-after-chunk",
-            "chaos-stall-at-chunk", "chaos-stall-ms",
+            "system", "seed", "nodes", "days", "users", "out", "faults", "checkpoint-dir",
+            "chunk-jobs", "resume", "chaos-kill-after-chunk", "chaos-stall-at-chunk",
+            "chaos-stall-ms",
         ],
         Some("ingest") => &[
             "jobs", "system", "spec", "nodes", "strict", "lenient", "error-budget",
@@ -193,7 +184,6 @@ fn command_flags(command: Option<&str>) -> Option<&'static [&'static str]> {
         Some("powercap") => &["data"],
         Some("bench") => &["bench", "baseline", "fail-on-regress"],
         Some("profile") => &["profile", "a", "b", "top"],
-        Some("chaos") => &["scenario", "dir", "keep"],
         Some("help") | None => &[],
         Some(_) => return None,
     })
@@ -210,7 +200,8 @@ fn fail(msg: impl std::fmt::Display) -> ! {
 fn load(path: &str, sections: Sections) -> TraceDataset {
     let dataset = json::load_sections(Path::new(path), sections)
         .unwrap_or_else(|e| fail(format!("cannot load {path}: {e}")));
-    validate::validate(&dataset).unwrap_or_else(|e| fail(format!("{path} is invalid: {e}")));
+    hpcpower_obs::time("trace.validate", || validate::validate(&dataset))
+        .unwrap_or_else(|e| fail(format!("{path} is invalid: {e}")));
     dataset
 }
 
@@ -340,19 +331,11 @@ fn write_simulate_outputs(
         json::write_dataset(&mut dataset_json, &dataset)
     })
     .map_err(CliError::io)?;
-    let mut artifacts = vec![
+    let artifacts = [
         ("jobs.csv", jobs_csv),
         ("system.csv", system_csv),
         ("dataset.json", dataset_json),
     ];
-    if args.has("swf") {
-        let mut workload = Vec::new();
-        hpcpower_obs::time("simulate.encode.swf", || {
-            swf::write_swf(&mut workload, &dataset)
-        })
-        .map_err(CliError::io)?;
-        artifacts.push(("workload.swf", workload));
-    }
     hpcpower_obs::time("simulate.publish", || {
         artifacts
             .iter()
@@ -541,9 +524,11 @@ fn cmd_predict(args: &Args) -> Result<(), CliError> {
     let walltime_h: f64 = args
         .get_parsed("walltime-h")?
         .ok_or("missing --walltime-h H")?;
-    let data = prediction::build_ml_dataset(&dataset);
-    let model =
-        DecisionTree::fit(&data, TreeConfig::default()).map_err(|e| e.to_string())?;
+    let data = hpcpower_obs::time("prediction.build_ml_dataset", || {
+        prediction::build_ml_dataset(&dataset)
+    });
+    let model = hpcpower_obs::time("ml.fit", || DecisionTree::fit(&data, TreeConfig::default()))
+        .map_err(|e| e.to_string())?;
     let w = model.predict(user, nodes, walltime_h * 60.0);
     outln!(
         "predicted per-node power: {w:.1} W  ({:.0}% of the {} W node TDP)",
@@ -752,7 +737,6 @@ fn main() {
         Some("powercap") => hpcpower_obs::time("powercap", || cmd_powercap(&args)),
         Some("bench") => benchdiff::cmd_bench(&args),
         Some("profile") => profile::cmd_profile(&args),
-        Some("chaos") => chaos::cmd_chaos(&args),
         Some("help") | None => out!("{HELP}"),
         Some(other) => Err(CliError::Usage(format!("unknown command {other:?}"))),
     };

@@ -3,7 +3,8 @@
 //!
 //! Both subcommands read the folded or speedscope formats (auto-
 //! detected; the SVG flamegraph is render-only). `report` prints a
-//! top-N table of self wall time and self allocated bytes per call
+//! top-N table of self wall time and, when the profile carries them
+//! (speedscope does, folded does not), self allocated bytes per call
 //! path; `diff` lines two profiles up by path and prints the deltas,
 //! hottest movers first. Both are informational: they exit 0 on
 //! success and 2 on unreadable input, never 3 — the regression *gate*
@@ -51,12 +52,16 @@ fn cmd_report(args: &Args) -> Result<(), CliError> {
     }
     let profile = load_profile(path)?;
     let total_ns = profile.total_ns();
-    let total_bytes = profile.total_bytes();
+    let has_bytes = profile.has_bytes();
+    let allocated = if has_bytes {
+        format!("{} KiB allocated", fmt_kib(profile.total_bytes()))
+    } else {
+        "no allocation data".to_string()
+    };
     outln!(
-        "profile report: {path} ({} path(s), total self {} ms, {} KiB allocated)",
+        "profile report: {path} ({} path(s), total self {} ms, {allocated})",
         profile.entries.len(),
         fmt_ms(total_ns),
-        fmt_kib(total_bytes),
     )?;
     let mut entries = profile.entries;
     entries.sort_by(|a, b| {
@@ -66,7 +71,13 @@ fn cmd_report(args: &Args) -> Result<(), CliError> {
             .then(a.stack.cmp(&b.stack))
     });
     outln!()?;
-    outln!("  {:>10} {:>6} {:>12}  path", "self ms", "self%", "alloc KiB")?;
+    let alloc_col = |cell: String| if has_bytes { format!(" {cell:>12}") } else { String::new() };
+    outln!(
+        "  {:>10} {:>6}{}  path",
+        "self ms",
+        "self%",
+        alloc_col("alloc KiB".into())
+    )?;
     for e in entries.iter().take(top) {
         let pct = if total_ns > 0 {
             100.0 * e.self_ns as f64 / total_ns as f64
@@ -74,9 +85,9 @@ fn cmd_report(args: &Args) -> Result<(), CliError> {
             0.0
         };
         outln!(
-            "  {:>10} {pct:>5.1}% {:>12}  {}",
+            "  {:>10} {pct:>5.1}%{}  {}",
             fmt_ms(e.self_ns),
-            fmt_kib(e.self_bytes),
+            alloc_col(fmt_kib(e.self_bytes)),
             e.stack.join(";"),
         )?;
     }

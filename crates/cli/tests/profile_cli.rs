@@ -107,6 +107,12 @@ fn profile_out_svg_and_speedscope_are_structurally_valid() {
         .and_then(|p| p.as_array())
         .expect("profiles array");
     assert_eq!(profiles.len(), 2, "wall-time and allocation profiles");
+
+    // Speedscope carries allocated bytes, so the report shows them.
+    let report = run(&["profile", "report", "--profile", &ss_str]);
+    let stdout = String::from_utf8_lossy(&report.stdout);
+    assert!(stdout.contains(" KiB allocated)"), "header totals the bytes: {stdout}");
+    assert!(stdout.contains("alloc KiB"), "report has the bytes column: {stdout}");
 }
 
 /// `profile report` and `profile diff` read the emitted files and exit
@@ -125,6 +131,10 @@ fn profile_report_and_diff_work_on_emitted_profiles() {
     let stdout = String::from_utf8_lossy(&report.stdout);
     assert!(stdout.contains("simulate"), "report lists the simulate path: {stdout}");
     assert!(stdout.contains("self ms"), "report has the header row");
+    // Folded profiles carry no allocation bytes: the header says so and
+    // the table has no column of zeros.
+    assert!(stdout.contains("no allocation data"), "header names the gap: {stdout}");
+    assert!(!stdout.contains("alloc KiB"), "no bytes column for folded input: {stdout}");
 
     let diff = run(&["profile", "diff", "--a", &a_str, "--b", &b_str]);
     let stdout = String::from_utf8_lossy(&diff.stdout);

@@ -1,7 +1,8 @@
 //! End-to-end acceptance tests for the robustness flags: `simulate
 //! --faults`, `ingest --strict|--lenient --error-budget --repair-policy`,
-//! and `analyze --repair-policy`, including the non-zero exit with a
-//! quarantine summary when the error budget is exceeded.
+//! `analyze --repair-policy`, and the `--stage-timeout` watchdog,
+//! including the non-zero exit with a quarantine summary when the error
+//! budget is exceeded.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -203,4 +204,28 @@ fn ingest_repairs_faulted_csvs_and_exceeded_budget_exits_nonzero() {
         String::from_utf8_lossy(&strict.stderr).contains("parse error at line"),
         "strict failure must carry the line number"
     );
+}
+
+/// A stalled checkpointed run trips the watchdog with the resumable
+/// exit 6 and publishes nothing. The stall (30 s) outlasts the timeout
+/// (1 s) by far, so the watchdog always fires first.
+#[test]
+fn stalled_checkpointed_simulate_exits_6_and_publishes_nothing() {
+    let dir = tempdir("robust-stall");
+    let ckpt = dir.join("ckpt");
+    let out_dir = dir.join("out");
+    let out = run_raw(&[
+        "simulate", "--system", "emmy", "--seed", "7", "--nodes", "24", "--days", "2",
+        "--users", "16", "--quiet", "--checkpoint-dir", ckpt.to_str().unwrap(),
+        "--chunk-jobs", "8", "--chaos-stall-at-chunk", "1", "--chaos-stall-ms", "30000",
+        "--stage-timeout", "1", "--out", out_dir.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(6), "stall must exit 6: {stderr}");
+    assert!(stderr.contains("--resume"), "the exit must point at --resume: {stderr}");
+    assert!(
+        !out_dir.join("dataset.json").exists(),
+        "a stalled run must not publish dataset.json"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

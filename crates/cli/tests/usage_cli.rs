@@ -34,11 +34,17 @@ fn misspelt_flag_exits_2_and_writes_nothing() {
     assert!(!out_dir.exists(), "a rejected command must not write its outputs");
 }
 
+/// Removed flags are unknown flags: the live service's `--serve` and
+/// the SWF export's `--swf`.
 #[test]
 fn removed_live_service_flag_exits_2() {
     assert_usage_error(
         &["simulate", "--serve", ":0", "--nodes", "16", "--days", "2", "--users", "8"],
         "--serve",
+    );
+    assert_usage_error(
+        &["simulate", "--swf", "--nodes", "16", "--days", "2", "--users", "8"],
+        "--swf",
     );
 }
 
@@ -46,12 +52,12 @@ fn removed_live_service_flag_exits_2() {
 /// the union of all commands.
 #[test]
 fn another_commands_flag_exits_2() {
-    assert_usage_error(&["analyze", "--data", "x.json", "--swf"], "--swf");
+    assert_usage_error(&["analyze", "--data", "x.json", "--faults", "0.1"], "--faults");
 }
 
 #[test]
 fn removed_commands_are_unknown() {
-    for cmd in ["obs", "alerts"] {
+    for cmd in ["obs", "alerts", "chaos"] {
         assert_usage_error(&[cmd], "unknown command");
     }
 }

@@ -21,7 +21,6 @@
 //! | [`user_level`] | RQ6-RQ8: user concentration, per-user variability, cluster tightness (Figs. 11-13) |
 //! | [`prediction`] | RQ9: BDT/KNN/FLDA apriori power prediction (Figs. 14-15) |
 //! | [`powercap`] | Discussion: static power-cap what-if |
-//! | [`overprovision`] | Discussion: more nodes under the same power budget (end-to-end, power-aware scheduler) |
 //! | [`pricing`] | Discussion: the node-hour-pricing cross-subsidy |
 //! | [`report`] | renders every figure/table as the rows/series the paper reports |
 //!
@@ -50,7 +49,6 @@ pub mod ascii;
 pub mod figures;
 pub mod job_level;
 pub mod json_report;
-pub mod overprovision;
 pub mod powercap;
 pub mod pricing;
 pub mod prediction;
@@ -64,8 +62,8 @@ pub mod user_level;
 pub mod prelude {
     pub use crate::figures::{CdfStats, MeanStd};
     pub use crate::{
-        job_level, overprovision, powercap, prediction, pricing, report, spatial, system_level,
-        temporal, user_level,
+        job_level, powercap, prediction, pricing, report, spatial, system_level, temporal,
+        user_level,
     };
     pub use hpcpower_trace::{JobPowerSummary, JobRecord, TraceDataset};
 }

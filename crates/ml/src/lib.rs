@@ -14,11 +14,6 @@
 //!   validation user guaranteed to appear in training; absolute
 //!   percentage error CDFs and per-user mean errors.
 //!
-//! Two extension baselines bracket the paper's model choice from both
-//! sides: [`linear`] (the strongest "analytical" approach the paper
-//! dismisses) and [`forest`] (a bagged ensemble probing whether a more
-//! complex model would have helped).
-//!
 //! All models implement [`Regressor`] over the paper's three features —
 //! `(user id, number of nodes, requested walltime)` — encoded as a
 //! [`data::FeatureMatrix`]. Nothing here is power-specific; the substrate
@@ -45,19 +40,15 @@
 pub mod data;
 pub mod eval;
 pub mod flda;
-pub mod forest;
 pub mod knn;
 pub mod linalg;
-pub mod linear;
 pub mod metrics;
 pub mod tree;
 
 pub use data::{Dataset, FeatureMatrix};
 pub use eval::{evaluate, EvalConfig, EvalReport};
 pub use flda::{Flda, FldaConfig};
-pub use forest::{ForestConfig, RandomForest};
 pub use knn::{Knn, KnnConfig};
-pub use linear::LinearModel;
 pub use tree::{DecisionTree, TreeConfig};
 
 /// A trained regression model over the three job features.

@@ -639,6 +639,12 @@ impl FlatProfile {
         self.entries.iter().map(|e| e.self_bytes).sum()
     }
 
+    /// Whether any row carries allocated bytes. Folded input never
+    /// does: the format has no byte dimension.
+    pub fn has_bytes(&self) -> bool {
+        self.entries.iter().any(|e| e.self_bytes > 0)
+    }
+
     /// Parses a profile file, auto-detecting the format: a document
     /// starting with `{` is speedscope JSON, anything else is folded
     /// text. (SVG output is render-only and rejected here.)

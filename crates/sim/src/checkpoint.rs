@@ -41,9 +41,11 @@
 //!
 //! [`ChaosPlan`] injects deterministic process-level faults at chunk
 //! boundaries — SIGKILL self, an in-process interrupt (for tests that
-//! need the error back), or a stall (for watchdog coverage). Combined
-//! with [`hpcpower_trace::recover::ChaosFs`] this is what
-//! `hpcpower chaos run` drives.
+//! need the error back), or a stall (for watchdog coverage). The CLI
+//! exposes them as `simulate --chaos-kill-after-chunk` and
+//! `--chaos-stall-at-chunk`; `tests/checkpoint_resume.rs` drives them
+//! in process, together with [`hpcpower_trace::recover::ChaosFs`]
+//! filesystem faults.
 
 use std::collections::BTreeMap;
 use std::io;

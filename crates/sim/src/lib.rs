@@ -37,8 +37,6 @@ pub mod faults;
 pub mod monitor;
 pub mod pool;
 pub mod power;
-pub mod power_aware;
-pub mod replay;
 pub mod scheduler;
 pub mod users;
 pub mod workload;
@@ -53,8 +51,6 @@ pub use faults::{inject_faults, FaultConfig, FaultSummary};
 pub use monitor::MonitorOutput;
 pub use pool::with_threads;
 pub use power::{JobPowerParams, PowerModel};
-pub use power_aware::{schedule_power_aware, PowerBudget};
-pub use replay::{replay_swf, ReplayConfig};
-pub use scheduler::{schedule, schedule_with_policy, BackfillPolicy, ScheduleOutcome, ScheduledJob};
+pub use scheduler::{schedule, ScheduleOutcome, ScheduledJob};
 pub use users::{generate_population, UserModel};
 pub use workload::{generate_arrivals, JobRequest};

@@ -1,11 +1,10 @@
 //! Scoped rayon-pool plumbing for the simulation pipeline.
 //!
 //! One knob — a thread count with `0` meaning "all cores" — flows from
-//! `SimConfig::threads` / `ReplayConfig::threads` / the CLI `--threads`
-//! flag into every parallel stage. Running inside the pool only changes
-//! *how fast* results arrive, never *what* they are: all parallel stages
-//! in this crate are order-preserving (see DESIGN.md, "Parallelism &
-//! determinism").
+//! `SimConfig::threads` / the CLI `--threads` flag into every parallel
+//! stage. Running inside the pool only changes *how fast* results
+//! arrive, never *what* they are: all parallel stages in this crate are
+//! order-preserving (see DESIGN.md, "Parallelism & determinism").
 
 /// Runs `op` inside a rayon pool of `threads` workers.
 ///

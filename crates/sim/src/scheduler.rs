@@ -51,36 +51,12 @@ struct Running {
     node_ids: Vec<u32>,
 }
 
-/// Backfill policy flavour.
-///
-/// Both studied systems backfill, but with different levels of
-/// aggressiveness; the two classic policies bracket them:
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum BackfillPolicy {
-    /// EASY: a job may jump the queue if it does not delay the *head*
-    /// job's reservation (it may delay others). The common production
-    /// default; used by the calibrated presets.
-    #[default]
-    Easy,
-    /// Conservative: a job may only jump the queue if it finishes before
-    /// the head's shadow time — it can never run on the head's reserved
-    /// post-shadow capacity, so no queued job is ever delayed. Lower
-    /// utilization, stronger fairness.
-    Conservative,
-}
-
 /// Schedules `requests` (must be sorted by `submit_min`) onto `n_nodes`
-/// exclusive nodes using FCFS + EASY backfill.
+/// exclusive nodes using FCFS + EASY backfill: a queued job may jump the
+/// queue if it does not delay the *head* job's reservation, either by
+/// ending before the head's shadow time or by fitting in the nodes the
+/// head will not need then.
 pub fn schedule(requests: &[JobRequest], n_nodes: u32) -> ScheduleOutcome {
-    schedule_with_policy(requests, n_nodes, BackfillPolicy::Easy)
-}
-
-/// [`schedule`] with an explicit backfill policy.
-pub fn schedule_with_policy(
-    requests: &[JobRequest],
-    n_nodes: u32,
-    policy: BackfillPolicy,
-) -> ScheduleOutcome {
     debug_assert!(
         requests.windows(2).all(|w| w[0].submit_min <= w[1].submit_min),
         "requests must be sorted by submission time"
@@ -219,9 +195,7 @@ pub fn schedule_with_policy(
                 let fits_now = req.nodes as usize <= free.len();
                 if fits_now {
                     let ends_before_shadow = now + req.walltime_req_min <= shadow;
-                    let allowed = ends_before_shadow
-                        || (policy == BackfillPolicy::Easy && req.nodes <= extra);
-                    if allowed {
+                    if ends_before_shadow || req.nodes <= extra {
                         if !ends_before_shadow {
                             extra -= req.nodes;
                         }
@@ -417,45 +391,23 @@ mod tests {
     }
 
     #[test]
-    fn conservative_refuses_post_shadow_backfill() {
-        // J0: 6 nodes until 100; J1 head: 8 nodes (shadow 100, extra 0
-        // under EASY would still admit jobs into "extra" = 0 here, so
-        // craft a case where EASY admits and Conservative refuses):
-        // machine 10 nodes; J0: 6 nodes until 100; J1: 8 nodes -> shadow
-        // 100, avail at shadow = 10, extra = 2.
-        // J2: 2 nodes, walltime 300 (ends after shadow):
-        //   EASY: fits in extra -> starts now.
-        //   Conservative: must end before shadow -> waits.
+    fn backfill_uses_post_shadow_extra_nodes_without_delaying_head() {
+        // Machine: 10 nodes. J0: 6 nodes until 100. J1 head: 8 nodes ->
+        // shadow 100, avail at shadow = 10, extra = 2.
+        // J2: 2 nodes, walltime 300 (ends after the shadow) fits in the
+        // extra nodes, so EASY starts it at once; the head still starts
+        // at the shadow time.
         let reqs = vec![
             req(0, 6, 100, 100),
             req(1, 8, 100, 100),
             req(2, 2, 300, 300),
         ];
-        let easy = schedule_with_policy(&reqs, 10, BackfillPolicy::Easy);
-        let cons = schedule_with_policy(&reqs, 10, BackfillPolicy::Conservative);
-        let start_of = |o: &ScheduleOutcome, idx: usize| {
-            o.jobs.iter().find(|j| j.request_idx == idx).unwrap().start_min
-        };
-        assert_eq!(start_of(&easy, 2), 2, "EASY backfills into extra nodes");
-        assert!(
-            start_of(&cons, 2) >= 100,
-            "Conservative must not use post-shadow capacity"
-        );
-        // The head is never delayed under either policy.
-        assert_eq!(start_of(&easy, 1), 100);
-        assert_eq!(start_of(&cons, 1), 100);
-    }
-
-    #[test]
-    fn conservative_still_backfills_short_jobs() {
-        let reqs = vec![
-            req(0, 6, 100, 100),
-            req(1, 8, 100, 100),
-            req(2, 2, 50, 50),
-        ];
-        let cons = schedule_with_policy(&reqs, 8, BackfillPolicy::Conservative);
-        let j2 = cons.jobs.iter().find(|j| j.request_idx == 2).unwrap();
-        assert_eq!(j2.start_min, 2, "pre-shadow backfill is always allowed");
+        let out = schedule(&reqs, 10);
+        let by_req: HashMap<usize, &ScheduledJob> =
+            out.jobs.iter().map(|j| (j.request_idx, j)).collect();
+        assert_eq!(by_req[&2].start_min, 2, "EASY backfills into extra nodes");
+        assert_eq!(by_req[&1].start_min, 100, "head must not be delayed");
+        assert_no_double_booking(&out, 10);
     }
 
     #[test]

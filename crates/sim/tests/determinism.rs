@@ -6,8 +6,7 @@
 //! index), the monitor folds fixed-size batches in job order, and the
 //! parallel map preserves input order.
 
-use hpcpower_sim::{replay_swf, simulate, FaultConfig, ReplayConfig, SimConfig};
-use hpcpower_trace::swf::SwfJob;
+use hpcpower_sim::{simulate, FaultConfig, SimConfig};
 
 fn dataset_json(threads: usize) -> String {
     let mut cfg = SimConfig::emmy_small(11);
@@ -55,33 +54,5 @@ fn simulate_matrix_threads_by_faults_by_seed_is_byte_identical() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn replay_is_byte_identical_across_thread_counts() {
-    let jobs: Vec<SwfJob> = (0..120u64)
-        .map(|i| SwfJob {
-            id: i + 1,
-            submit_s: i * 240,
-            wait_s: 0,
-            runtime_s: 1800 + (i % 5) * 600,
-            procs: 1 + (i % 7) as u32,
-            time_req_s: 7200,
-            user: 100 + (i % 9) as u32,
-        })
-        .collect();
-    let replay_json = |threads: usize| {
-        let mut cfg = ReplayConfig::emmy_like(3);
-        cfg.threads = threads;
-        serde_json::to_string(&replay_swf(&jobs, &cfg)).expect("serializes")
-    };
-    let serial = replay_json(1);
-    for threads in [2, 4] {
-        assert_eq!(
-            serial,
-            replay_json(threads),
-            "replay_swf() output changed with {threads} threads"
-        );
     }
 }

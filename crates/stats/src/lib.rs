@@ -19,8 +19,6 @@
 //! * **Concentration analysis** ([`lorenz`]) — Lorenz curves, Gini
 //!   coefficients and top-share statistics for the user-level analysis
 //!   (Fig. 11).
-//! * **Resampling** ([`bootstrap`]) — percentile bootstrap confidence
-//!   intervals used to check calibration robustness.
 //! * **Deterministic randomness** ([`rng`]) — SplitMix64 plus a stateless
 //!   counter-based generator that lets the power model re-derive any
 //!   `(job, node, minute)` sample on demand, so multi-gigabyte telemetry
@@ -50,12 +48,10 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod bootstrap;
 pub mod correlation;
 pub mod describe;
 pub mod ecdf;
 pub mod histogram;
-pub mod kstest;
 pub mod lorenz;
 pub mod online;
 pub mod quantile;

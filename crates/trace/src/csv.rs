@@ -42,7 +42,7 @@ pub enum ParseMode {
     Lenient,
 }
 
-/// Options shared by all CSV/SWF readers.
+/// Options shared by all CSV readers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParseOptions {
     /// Strict or lenient error handling.

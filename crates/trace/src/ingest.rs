@@ -1,8 +1,8 @@
 //! Chunked parallel zero-copy ingestion engine.
 //!
-//! The readers in [`crate::csv`] and [`crate::swf`] historically walked
-//! a `BufRead` line by line, paying one heap `String` per line and one
-//! `Vec<&str>` per row. This module replaces that hot path: the input
+//! The readers in [`crate::csv`] historically walked a `BufRead` line
+//! by line, paying one heap `String` per line and one `Vec<&str>` per
+//! row. This module replaces that hot path: the input
 //! is read **once** into a single buffer, split at newline boundaries
 //! into chunks, parsed chunk-concurrently on the ambient rayon pool
 //! (`hpcpower_sim::with_threads` installs the pool; the engine inherits
@@ -30,8 +30,8 @@
 //!   assignment is first-appearance order regardless of thread count.
 //!
 //! The legacy line-by-line parsers are retained under `#[cfg(test)]`
-//! (see `csv::oracle` / `swf::oracle`) as the parity oracle, exactly
-//! like the PR 5 columnar kernel kept its scalar reference path.
+//! (see `csv::oracle`) as the parity oracle, exactly like the columnar
+//! monitor kernel keeps its scalar reference path.
 //!
 //! ## Telemetry
 //!
@@ -54,7 +54,6 @@ use crate::dataset::SystemSample;
 use crate::fastfloat::parse_f64;
 use crate::ids::{AppId, Interner, JobId, UserId};
 use crate::job::{JobPowerSummary, JobRecord};
-use crate::swf::{SwfJob, SwfTable};
 use crate::{Result, TraceError};
 
 /// Smallest chunk worth spawning for; below this the split overhead
@@ -102,23 +101,6 @@ pub(crate) fn split_fields<const N: usize>(line: &str) -> std::result::Result<[&
     }
 }
 
-/// Splits `line` into at least `N` whitespace-separated fields (extras
-/// are ignored, per the SWF convention). `Err(actual_count)` on
-/// shortfall.
-pub(crate) fn split_ws_fields<const N: usize>(
-    line: &str,
-) -> std::result::Result<[&str; N], usize> {
-    let mut out = [""; N];
-    let mut it = line.split_whitespace();
-    for (k, slot) in out.iter_mut().enumerate() {
-        match it.next() {
-            Some(f) => *slot = f,
-            None => return Err(k),
-        }
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------
 // Fast integer parsing (exact `str::parse` semantics)
 // ---------------------------------------------------------------------
@@ -127,9 +109,9 @@ pub(crate) fn split_ws_fields<const N: usize>(
 // are identical to `str::parse`, with anything outside the provably
 // overflow-free digit-count window deferred to `str::parse` itself so
 // equality is by construction. The windows are one digit short of the
-// type's maximum (19 for `u64`, 9 for `u32`, 18 for `i64`) because a
-// full-width digit count can overflow; longer inputs are still valid
-// when zero-padded, which is exactly what the fallback decides.
+// type's maximum (19 for `u64`, 9 for `u32`) because a full-width
+// digit count can overflow; longer inputs are still valid when
+// zero-padded, which is exactly what the fallback decides.
 
 /// Parses like `str::parse::<u64>()`: optional `+`, then digits.
 #[inline]
@@ -173,29 +155,6 @@ pub(crate) fn parse_u32_fast(s: &str) -> Option<u32> {
         v = v * 10 + u32::from(x);
     }
     Some(v)
-}
-
-/// Parses like `str::parse::<i64>()`: optional sign, then digits.
-#[inline]
-pub(crate) fn parse_i64_fast(s: &str) -> Option<i64> {
-    let b = s.as_bytes();
-    let (negative, d) = match b.first() {
-        Some(b'+') => (false, &b[1..]),
-        Some(b'-') => (true, &b[1..]),
-        _ => (false, b),
-    };
-    if d.is_empty() || d.len() > 18 {
-        return s.parse().ok();
-    }
-    let mut v: i64 = 0;
-    for &c in d {
-        let x = c.wrapping_sub(b'0');
-        if x > 9 {
-            return None;
-        }
-        v = v * 10 + i64::from(x);
-    }
-    Some(if negative { -v } else { v })
 }
 
 /// Duplicate-id set for the merge: a bitmap for the dense-id common
@@ -958,101 +917,6 @@ fn read_system_str_inner(text: &str, opts: ParseOptions) -> Result<SystemTable> 
     Ok(out)
 }
 
-// ---------------------------------------------------------------------
-// SWF
-// ---------------------------------------------------------------------
-
-/// Parses one SWF data line without allocating.
-fn parse_swf_row_fast(lineno: usize, trimmed: &str) -> Result<SwfJob> {
-    let fields = split_ws_fields::<18>(trimmed).map_err(|got| {
-        TraceError::parse_at(lineno, got.min(18), format!("SWF needs 18 fields, got {got}"))
-    })?;
-    let parse_u64 = |k: usize, what: &str| -> Result<u64> {
-        let v: i64 = parse_i64_fast(fields[k])
-            .ok_or_else(|| TraceError::parse_at(lineno, k + 1, format!("bad {what}")))?;
-        Ok(v.max(0) as u64)
-    };
-    Ok(SwfJob {
-        id: parse_u64(0, "job id")?,
-        submit_s: parse_u64(1, "submit")?,
-        wait_s: parse_u64(2, "wait")?,
-        runtime_s: parse_u64(3, "runtime")?,
-        procs: parse_u64(4, "procs")? as u32,
-        time_req_s: parse_u64(8, "time request")?,
-        user: parse_u64(11, "user")? as u32,
-    })
-}
-
-/// Parses SWF from a borrowed buffer — the chunk-parallel engine behind
-/// [`crate::swf::read_swf_with`]. Comment (`;`) and blank lines are
-/// skipped inside the chunks.
-pub fn read_swf_str(text: &str, opts: ParseOptions) -> Result<SwfTable> {
-    hpcpower_obs::time("trace.ingest.swf", || read_swf_str_inner(text, opts))
-}
-
-/// Per-chunk output of the SWF parser; same merge shape as
-/// [`SysChunk`]. `errs` carries the *trimmed* line, which is what the
-/// legacy reader quarantined, byte-for-byte.
-struct SwfChunk<'a> {
-    jobs: Vec<SwfJob>,
-    errs: Vec<ErrRow<'a>>,
-}
-
-fn parse_swf_chunk<'a>(chunk: &Chunk<'a>, mode: ParseMode) -> SwfChunk<'a> {
-    let mut acc = SwfChunk {
-        jobs: Vec::with_capacity(chunk.n_lines),
-        errs: Vec::new(),
-    };
-    for (lineno, line) in Lines::new(chunk.text, chunk.first_line) {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with(';') {
-            continue;
-        }
-        match parse_swf_row_fast(lineno, trimmed) {
-            Ok(job) => acc.jobs.push(job),
-            Err(err) => {
-                acc.errs.push(ErrRow {
-                    lineno,
-                    raw: trimmed,
-                    err,
-                });
-                if mode == ParseMode::Strict {
-                    break;
-                }
-            }
-        }
-    }
-    acc
-}
-
-fn read_swf_str_inner(text: &str, opts: ParseOptions) -> Result<SwfTable> {
-    let started = Instant::now();
-    let (mut chunks, n_chunks) = map_chunks(text, 1, |c| parse_swf_chunk(c, opts.mode));
-    let n_rows: usize = chunks.iter().map(|c| c.jobs.len() + c.errs.len()).sum();
-    let total: usize = chunks.iter().map(|c| c.jobs.len()).sum();
-    let mut quarantine = Quarantine::new(opts);
-    for acc in &mut chunks {
-        for e in std::mem::take(&mut acc.errs) {
-            quarantine.push(e.err, e.raw)?;
-        }
-    }
-    let jobs = if chunks.len() == 1 {
-        std::mem::take(&mut chunks[0].jobs)
-    } else {
-        let mut jobs = Vec::with_capacity(total);
-        for acc in &chunks {
-            jobs.extend_from_slice(&acc.jobs);
-        }
-        jobs
-    };
-    let out = SwfTable {
-        jobs,
-        quarantined: quarantine.into_rows(),
-    };
-    record_metrics(text.len(), n_rows, n_chunks, started);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1066,12 +930,6 @@ mod tests {
         assert_eq!(split_fields::<2>(",,"), Err(3));
         // Empty fields are fields, matching split(',').
         assert_eq!(split_fields::<3>(",b,"), Ok(["", "b", ""]));
-    }
-
-    #[test]
-    fn split_ws_fields_ignores_extras() {
-        assert_eq!(split_ws_fields::<2>("a  b   c"), Ok(["a", "b"]));
-        assert_eq!(split_ws_fields::<3>("a b"), Err(2));
     }
 
     #[test]
@@ -1208,7 +1066,7 @@ mod tests {
 }
 
 /// The full parity matrix: the parallel engine versus the retained
-/// serial oracle (`csv::oracle`, `swf::oracle`) over
+/// serial oracle (`csv::oracle`) over
 /// seeds × threads {1,2,4} × {strict, lenient} × {clean, torn} ×
 /// chunk layouts (ambient, 64-byte, 7-byte). Every comparison is on
 /// the Debug rendering of the full table — jobs, summaries
@@ -1220,7 +1078,6 @@ mod parity {
     use super::tests::with_pool;
     use super::*;
     use crate::csv::oracle as csv_oracle;
-    use crate::swf::oracle as swf_oracle;
     use std::io::BufReader;
 
     /// Deterministic splitmix-style generator; no external rand crate.
@@ -1313,39 +1170,6 @@ mod parity {
         text
     }
 
-    fn swf_fixture(seed: u64, rows: usize, torn: bool) -> String {
-        let mut s = seed;
-        let mut text = String::from("; SWF parity fixture\n; comment line\n");
-        for i in 0..rows {
-            let mut line = format!(
-                "{} {} {} {} {} -1 -1 {} {} -1 1 {} -1 {} -1 -1 -1 -1",
-                i + 1,
-                next(&mut s) % 100_000,
-                next(&mut s) % 3_600,
-                next(&mut s) % 86_400,
-                1 + next(&mut s) % 64,
-                1 + next(&mut s) % 64,
-                next(&mut s) % 86_400,
-                1 + next(&mut s) % 50,
-                1 + next(&mut s) % 12,
-            );
-            if torn {
-                match next(&mut s) % 9 {
-                    0 => line = "1 2 3".to_string(),
-                    1 => line = line.replacen(' ', " x ", 1),
-                    _ => {}
-                }
-            }
-            text.push_str(&line);
-            text.push('\n');
-        }
-        if torn {
-            let cut = text.len() - 3;
-            text.truncate(cut);
-        }
-        text
-    }
-
     /// Structural comparison via Debug: identical tables (down to float
     /// bits, via shortest-round-trip rendering) or identical errors
     /// (variant + line + column + message + budget fields).
@@ -1412,33 +1236,6 @@ mod parity {
                             assert_eq!(
                                 got, want,
                                 "system seed={seed} torn={torn} opts={opts:?} \
-                                 threads={threads} chunk={chunk:?}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn swf_parallel_matches_serial_oracle() {
-        for seed in [7u64, 99] {
-            for torn in [false, true] {
-                let text = swf_fixture(seed, 100, torn);
-                for opts in modes() {
-                    let want = render(&swf_oracle::read_swf_with(
-                        BufReader::new(text.as_bytes()),
-                        opts,
-                    ));
-                    for threads in THREADS {
-                        for chunk in CHUNKS {
-                            let got = with_pool(threads, chunk, || {
-                                render(&read_swf_str(&text, opts))
-                            });
-                            assert_eq!(
-                                got, want,
-                                "swf seed={seed} torn={torn} opts={opts:?} \
                                  threads={threads} chunk={chunk:?}"
                             );
                         }

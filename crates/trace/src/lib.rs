@@ -36,13 +36,12 @@ pub mod json;
 pub mod recover;
 pub mod repair;
 pub mod series;
-pub mod swf;
 pub mod system;
 pub mod validate;
 
 pub use dataset::TraceDataset;
 pub use ids::{AppId, Interner, JobId, NodeId, UserId};
-pub use ingest::{read_jobs_str, read_swf_str, read_system_str};
+pub use ingest::{read_jobs_str, read_system_str};
 pub use index::{AppRollup, DatasetIndex, UserRollup};
 pub use job::{JobPowerSummary, JobRecord};
 pub use recover::{atomic_write, ArtifactState, ChaosFs, FaultKind, Fs, RealFs};

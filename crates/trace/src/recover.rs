@@ -637,6 +637,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every fault kind at every mutation op of an overwrite: the write
+    /// fails, and after the recovery sweep the artifact is a whole
+    /// version (old or new) or quarantined — never silently torn.
+    #[test]
+    fn chaos_at_every_op_leaves_a_whole_version_or_a_quarantine() {
+        const V1: &[u8] = b"version-1";
+        const V2: &[u8] = b"version-2-which-is-longer";
+        for kind in [FaultKind::Enospc, FaultKind::ShortWrite, FaultKind::FsyncFail] {
+            let dir = tmpdir(&format!("chaos-every-op-{kind:?}"));
+            let path = dir.join("artifact.bin");
+            let clean = ChaosFs::new(kind, u64::MAX, false);
+            atomic_write(&clean, &path, V1).unwrap();
+            let n_ops = clean.ops();
+            assert!(n_ops > 0);
+            for op in 0..n_ops {
+                let _ = std::fs::remove_dir_all(&dir);
+                std::fs::create_dir_all(&dir).unwrap();
+                atomic_write(&RealFs, &path, V1).unwrap();
+                let chaos = ChaosFs::new(kind, op, false);
+                let attempt = atomic_write(&chaos, &path, V2);
+                assert_eq!(chaos.faults_fired(), 1, "{kind:?} op {op}");
+                assert!(attempt.is_err(), "{kind:?} op {op}: fault fired but write returned Ok");
+                scan_dir(&RealFs, &dir).unwrap();
+                match verify(&path) {
+                    ArtifactState::Verified(_) => {
+                        let body = std::fs::read(&path).unwrap();
+                        assert!(body == V1 || body == V2, "{kind:?} op {op}: mixed bytes");
+                    }
+                    ArtifactState::Missing => assert!(
+                        dir.join("artifact.bin.torn").exists(),
+                        "{kind:?} op {op}: artifact gone without a quarantine marker"
+                    ),
+                    ArtifactState::Torn(why) => {
+                        panic!("{kind:?} op {op}: still torn after the sweep: {why}")
+                    }
+                }
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
     #[test]
     fn append_sync_accumulates_lines() {
         let dir = tmpdir("append");

@@ -14,7 +14,6 @@ use hpcpower_trace::csv::{
     read_jobs_with, read_system_with, JobsTable, ParseOptions, SystemTable, JOBS_HEADER,
     SYSTEM_HEADER,
 };
-use hpcpower_trace::swf::read_swf_with;
 
 /// Runs `op` on an installed rayon pool of `n` threads.
 fn at_threads<R>(n: usize, op: impl FnOnce() -> R) -> R {
@@ -134,39 +133,6 @@ fn system_identical_across_thread_counts() {
         assert_eq!(keys[0], keys[1]);
         assert_eq!(keys[0], keys[2]);
     }
-}
-
-#[test]
-fn swf_identical_across_thread_counts() {
-    let mut text = String::from("; archive header\n");
-    let mut s = 7u64;
-    for i in 0..3000u32 {
-        text.push_str(&format!(
-            "{} {} {} {} {} -1 -1 {} {} -1 1 {} -1 {} -1 -1 -1 -1\n",
-            i + 1,
-            lcg(&mut s) % 100_000,
-            lcg(&mut s) % 3_600,
-            lcg(&mut s) % 86_400,
-            1 + lcg(&mut s) % 64,
-            1 + lcg(&mut s) % 64,
-            lcg(&mut s) % 86_400,
-            1 + lcg(&mut s) % 50,
-            1 + lcg(&mut s) % 12,
-        ));
-    }
-    text.push_str("torn trailing line\n");
-    let opts = ParseOptions::lenient(10);
-    let keys: Vec<String> = [1usize, 2, 4]
-        .iter()
-        .map(|&n| {
-            at_threads(n, || {
-                let t = read_swf_with(BufReader::new(text.as_bytes()), opts).unwrap();
-                format!("{:?}|{:?}", t.jobs, t.quarantined)
-            })
-        })
-        .collect();
-    assert_eq!(keys[0], keys[1]);
-    assert_eq!(keys[0], keys[2]);
 }
 
 #[test]

@@ -213,14 +213,6 @@ cmp -s "$SMOKE_DIR/ckpt-base/dataset.json" "$SMOKE_DIR/ckpt-resumed/dataset.json
     || { echo "resume smoke: resumed dataset differs from the baseline" >&2; exit 1; }
 echo "resume smoke: kill -> resume is byte-identical"
 
-# Chaos matrix, warn-only: the full drill (kill, stall watchdog,
-# enospc/short-write/fsync-fail injection) runs on every pass, but the
-# stall scenario races a wall-clock timeout against a loaded CI box, so
-# a failure warns instead of failing the build. The kill/resume
-# invariant is already hard-gated above.
-./target/release/hpcpower chaos run --dir "$SMOKE_DIR/chaos" \
-    || echo "warning: chaos matrix reported a failure (soft gate, not failing)" >&2
-
 # Benchmark output checks: a one-second run of each perfbench workload
 # must report every op's output correct and no op failed. Only the
 # checks gate; the timings of so short a run are not inputs.

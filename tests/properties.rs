@@ -1,8 +1,7 @@
 //! Property-based tests over cross-crate invariants.
 
 use hpcpower_ml::{DecisionTree, Knn, KnnConfig, Regressor, TreeConfig};
-use hpcpower_sim::power_aware::{schedule_power_aware, PowerBudget};
-use hpcpower_sim::{schedule, schedule_with_policy, BackfillPolicy, JobRequest};
+use hpcpower_sim::{schedule, JobRequest};
 use hpcpower_stats::{Ecdf, Histogram, Lorenz, Summary};
 use proptest::prelude::*;
 
@@ -147,101 +146,6 @@ proptest! {
         let knn = Knn::fit(&data, KnnConfig { k: 3, ..Default::default() }).unwrap();
         let p = knn.predict(qu, qn as f64, (qw * 60) as f64);
         prop_assert!(p >= lo - 1e-9 && p <= hi + 1e-9, "knn {} outside [{}, {}]", p, lo, hi);
-    }
-
-    /// The power-aware scheduler never exceeds its budget and never
-    /// double-books, for arbitrary workloads and estimates.
-    #[test]
-    fn power_aware_scheduler_is_sound(
-        raw in prop::collection::vec(
-            (0u64..300, 1u32..8, 20u64..150, 10u64..150, 50u32..200), 1..80
-        ),
-        nodes in 8u32..24,
-        budget_scale in 0.3f64..1.2,
-    ) {
-        let mut submit = 0;
-        let mut requests = Vec::new();
-        let mut estimates = Vec::new();
-        for &(gap, n, walltime, runtime, est) in &raw {
-            submit += gap % 15;
-            requests.push(JobRequest {
-                user: 0,
-                template: 0,
-                app: 0,
-                submit_min: submit,
-                nodes: n,
-                walltime_req_min: walltime.max(runtime),
-                runtime_min: runtime.min(walltime),
-            });
-            estimates.push(est as f64);
-        }
-        let budget = PowerBudget {
-            budget_w: budget_scale * nodes as f64 * 200.0,
-            margin: 0.1,
-        };
-        let out = schedule_power_aware(&requests, nodes, &estimates, budget);
-        prop_assert_eq!(out.jobs.len() + out.rejected.len(), requests.len());
-        // Sweep both resources.
-        let mut events: Vec<(u64, i32, usize)> = Vec::new();
-        for (k, j) in out.jobs.iter().enumerate() {
-            prop_assert!(j.start_min >= j.request.submit_min);
-            events.push((j.start_min, 1, k));
-            events.push((j.end_min, -1, k));
-        }
-        events.sort_by_key(|&(t, kind, _)| (t, kind));
-        let mut in_use = std::collections::HashSet::new();
-        let mut power = 0.0f64;
-        for (_, kind, k) in events {
-            let j = &out.jobs[k];
-            let p = j.request.nodes as f64 * estimates[j.request_idx] * 1.1;
-            power += kind as f64 * p;
-            prop_assert!(power <= budget.budget_w + 1e-6, "budget exceeded: {}", power);
-            for id in &j.node_ids {
-                if kind == 1 {
-                    prop_assert!(in_use.insert(*id), "node {} double-booked", id);
-                } else {
-                    prop_assert!(in_use.remove(id));
-                }
-            }
-        }
-    }
-
-    /// Conservative backfill never beats EASY on any job's start time
-    /// ordering guarantee: the queue head's start is identical, and
-    /// conservative never starts a job that EASY would refuse.
-    #[test]
-    fn conservative_is_never_more_aggressive(
-        raw in prop::collection::vec(
-            (0u64..200, 1u32..10, 20u64..200, 10u64..200), 1..60
-        ),
-        nodes in 8u32..20,
-    ) {
-        let mut submit = 0;
-        let requests: Vec<JobRequest> = raw
-            .iter()
-            .map(|&(gap, n, walltime, runtime)| {
-                submit += gap % 10;
-                JobRequest {
-                    user: 0,
-                    template: 0,
-                    app: 0,
-                    submit_min: submit,
-                    nodes: n,
-                    walltime_req_min: walltime.max(runtime),
-                    runtime_min: runtime.min(walltime),
-                }
-            })
-            .collect();
-        let easy = schedule_with_policy(&requests, nodes, BackfillPolicy::Easy);
-        let cons = schedule_with_policy(&requests, nodes, BackfillPolicy::Conservative);
-        prop_assert_eq!(easy.rejected.len(), cons.rejected.len());
-        // Total delivered node-minutes: EASY >= Conservative (it admits a
-        // superset of backfill moves at every decision point, which under
-        // identical arrivals cannot reduce completed work).
-        let delivered = |o: &hpcpower_sim::ScheduleOutcome| -> u64 {
-            o.jobs.iter().map(|j| j.request.nodes as u64 * (j.end_min - j.start_min)).sum()
-        };
-        prop_assert_eq!(delivered(&easy), delivered(&cons)); // same jobs run
     }
 
     /// Power samples stay inside [idle, TDP] for arbitrary job params.
