@@ -6,7 +6,8 @@
 //! top-N table of self wall time and, when the profile carries them
 //! (speedscope does, folded does not), self allocated bytes per call
 //! path; `diff` lines two profiles up by path and prints the deltas,
-//! hottest movers first. Both are informational: they exit 0 on
+//! hottest movers first, with the bytes of each side when either side
+//! carries them. Both are informational: they exit 0 on
 //! success and 2 on unreadable input, never 3 — the regression *gate*
 //! is `bench diff`, which works on the aggregate history rather than
 //! a single pair of runs.
@@ -106,8 +107,14 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
     }
     let a = load_profile(a_path)?;
     let b = load_profile(b_path)?;
+    let has_bytes = a.has_bytes() || b.has_bytes();
+    let allocated = if has_bytes {
+        ""
+    } else {
+        ", no allocation data"
+    };
     outln!(
-        "profile diff: {a_path} ({} ms) -> {b_path} ({} ms)",
+        "profile diff: {a_path} ({} ms) -> {b_path} ({} ms){allocated}",
         fmt_ms(a.total_ns()),
         fmt_ms(b.total_ns()),
     )?;
@@ -155,9 +162,19 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
             .then_with(|| x.stack.cmp(&y.stack))
     });
     outln!()?;
+    let alloc_cols = |a: String, b: String| {
+        if has_bytes {
+            format!(" {a:>11} {b:>11}")
+        } else {
+            String::new()
+        }
+    };
     outln!(
-        "  {:>10} {:>10} {:>9} {:>11} {:>11}  path",
-        "a ms", "b ms", "delta", "a KiB", "b KiB"
+        "  {:>10} {:>10} {:>9}{}  path",
+        "a ms",
+        "b ms",
+        "delta",
+        alloc_cols("a KiB".into(), "b KiB".into())
     )?;
     for r in rows.iter().take(top) {
         let delta = if r.a_ns > 0 {
@@ -171,11 +188,10 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
             "n/a".to_string()
         };
         outln!(
-            "  {:>10} {:>10} {delta:>9} {:>11} {:>11}  {}",
+            "  {:>10} {:>10} {delta:>9}{}  {}",
             fmt_ms(r.a_ns),
             fmt_ms(r.b_ns),
-            fmt_kib(r.a_bytes),
-            fmt_kib(r.b_bytes),
+            alloc_cols(fmt_kib(r.a_bytes), fmt_kib(r.b_bytes)),
             r.stack.join(";"),
         )?;
     }

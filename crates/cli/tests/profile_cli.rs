@@ -113,6 +113,13 @@ fn profile_out_svg_and_speedscope_are_structurally_valid() {
     let stdout = String::from_utf8_lossy(&report.stdout);
     assert!(stdout.contains(" KiB allocated)"), "header totals the bytes: {stdout}");
     assert!(stdout.contains("alloc KiB"), "report has the bytes column: {stdout}");
+    let diff = run(&["profile", "diff", "--a", &ss_str, "--b", &ss_str]);
+    let stdout = String::from_utf8_lossy(&diff.stdout);
+    assert!(
+        stdout.contains("a KiB") && stdout.contains("b KiB"),
+        "diff has both bytes columns: {stdout}"
+    );
+    assert!(!stdout.contains("no allocation data"), "{stdout}");
 }
 
 /// `profile report` and `profile diff` read the emitted files and exit
@@ -139,6 +146,9 @@ fn profile_report_and_diff_work_on_emitted_profiles() {
     let diff = run(&["profile", "diff", "--a", &a_str, "--b", &b_str]);
     let stdout = String::from_utf8_lossy(&diff.stdout);
     assert!(stdout.contains("delta"), "diff has the delta column: {stdout}");
+    // Nor does the diff of two folded profiles show columns of zeros.
+    assert!(stdout.contains("no allocation data"), "header names the gap: {stdout}");
+    assert!(!stdout.contains("KiB"), "no bytes columns for folded input: {stdout}");
 }
 
 /// Usage errors exit 2: a bad format token after the comma, and a

@@ -52,6 +52,11 @@ pub use knn::{Knn, KnnConfig};
 pub use tree::{DecisionTree, TreeConfig};
 
 /// A trained regression model over the three job features.
+///
+/// `predict` must be a pure function of `(self, user, nodes, walltime)`:
+/// asked the same triple, a model returns the same bits whatever it was
+/// asked before. [`evaluate`] relies on this to ask each distinct
+/// validation triple of a split once.
 pub trait Regressor: Send + Sync {
     /// Predicts the target for one sample: `(user, nodes, walltime)`.
     fn predict(&self, user: u32, nodes: f64, walltime: f64) -> f64;

@@ -213,22 +213,28 @@ cmp -s "$SMOKE_DIR/ckpt-base/dataset.json" "$SMOKE_DIR/ckpt-resumed/dataset.json
     || { echo "resume smoke: resumed dataset differs from the baseline" >&2; exit 1; }
 echo "resume smoke: kill -> resume is byte-identical"
 
-# Benchmark output checks: a one-second run of each perfbench workload
-# must report every op's output correct and no op failed. Only the
+# Benchmark output checks: a one-second run of each perfbench workload,
+# untraced and traced, must report every op's output correct and no op
+# failed. The traced run adds its own checks: the two allocation-
+# counting passes agree, the traced chain re-encodes the published
+# dataset.json, and the traced sections make up the report. Only the
 # checks gate; the timings of so short a run are not inputs.
 if command -v python3 >/dev/null 2>&1; then
     for workload in simulate-publish analyze-report predict-query; do
-        python3 perfbench/run.py --workload "$workload" --seed 3 --seconds 1 \
-            --trace 0 > "$SMOKE_DIR/bench-$workload.out"
-        python3 - "$workload" "$SMOKE_DIR/bench-$workload.out" <<'EOF'
+        for trace in 0 1; do
+            out="$SMOKE_DIR/bench-$workload-trace$trace.out"
+            python3 perfbench/run.py --workload "$workload" --seed 3 --seconds 1 \
+                --trace "$trace" > "$out"
+            python3 - "$workload --trace $trace" "$out" <<'EOF'
 import json, sys
-workload, path = sys.argv[1], sys.argv[2]
+run, path = sys.argv[1], sys.argv[2]
 with open(path) as f:
     last = f.read().splitlines()[-1]
 r = json.loads(last)
-assert r["correct"] is True and r["failed"] == 0, f"{workload}: {last}"
-print(f"bench check: {workload} correct, {r['attempted']} ops, 0 failed")
+assert r["correct"] is True and r["failed"] == 0, f"{run}: {last}"
+print(f"bench check: {run} correct, {r['attempted']} ops, 0 failed")
 EOF
+        done
     done
 else
     echo "bench check: skipped (python3 unavailable)"
