@@ -6,9 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use hpcpower::prediction::build_ml_dataset;
-use hpcpower_ml::{
-    DecisionTree, Flda, FldaConfig, Knn, KnnConfig, Regressor, TreeConfig,
-};
+use hpcpower_ml::{DecisionTree, Flda, FldaConfig, Knn, KnnConfig, Regressor, TreeConfig};
 use hpcpower_sim::{simulate, SimConfig};
 
 fn dataset() -> hpcpower_ml::Dataset {
@@ -38,7 +36,13 @@ fn bench_inference(c: &mut Criterion) {
     let knn_num = Knn::fit(&data, KnnConfig::paper()).unwrap();
     let flda = Flda::fit(&data, FldaConfig::default()).unwrap();
     let queries: Vec<(u32, f64, f64)> = (0..256)
-        .map(|i| ((i % 40) as u32, ((i % 16) + 1) as f64, (60 * (i % 12 + 1)) as f64))
+        .map(|i| {
+            (
+                (i % 40) as u32,
+                ((i % 16) + 1) as f64,
+                (60 * (i % 12 + 1)) as f64,
+            )
+        })
         .collect();
     let mut group = c.benchmark_group("predict_256");
     group.throughput(Throughput::Elements(256));

@@ -73,7 +73,9 @@ fn main() {
     let rows = [
         (
             "BDT (paper best)",
-            evaluate(&data, &eval_cfg, |t| DecisionTree::fit(t, TreeConfig::default())),
+            evaluate(&data, &eval_cfg, |t| {
+                DecisionTree::fit(t, TreeConfig::default())
+            }),
         ),
         (
             "KNN categorical",
@@ -101,7 +103,14 @@ fn main() {
     // ---- 3. Tree hyper-parameters --------------------------------------
     println!("## BDT depth / leaf-size sweep");
     println!("depth  min_leaf   MAPE    <10% err");
-    for (depth, leaf) in [(4usize, 2usize), (8, 2), (14, 2), (20, 2), (14, 8), (14, 32)] {
+    for (depth, leaf) in [
+        (4usize, 2usize),
+        (8, 2),
+        (14, 2),
+        (20, 2),
+        (14, 8),
+        (14, 32),
+    ] {
         let cfg = TreeConfig {
             max_depth: depth,
             min_samples_leaf: leaf,

@@ -170,7 +170,11 @@ fn run_once(cfg: &SimConfig, pcfg: &PredictionConfig, threads: usize) -> Run {
             })
         })
     });
-    assert_eq!(jobs_table.jobs.len(), dataset.jobs.len(), "ingest row count");
+    assert_eq!(
+        jobs_table.jobs.len(),
+        dataset.jobs.len(),
+        "ingest row count"
+    );
     let ingest_rows = jobs_table.jobs.len() + system_table.samples.len();
     drop((jobs_table, system_table, jobs_text, system_text));
     // Warm the memoized dataset index as its own stage, so the `analyze`
@@ -290,13 +294,19 @@ fn round3(v: f64) -> Value {
 
 fn config_json(run: &Run) -> Value {
     obj(vec![
-        ("threads_requested", Value::UInt(run.threads_requested as u64)),
+        (
+            "threads_requested",
+            Value::UInt(run.threads_requested as u64),
+        ),
         ("threads_used", Value::UInt(run.threads_used as u64)),
         ("jobs", Value::UInt(run.jobs as u64)),
         ("simulate_s", round3(run.simulate_s)),
         ("report_s", round3(run.report_s)),
         ("wall_s", round3(run.total_s())),
-        ("jobs_per_s", Value::Num((run.jobs_per_s() * 10.0).round() / 10.0)),
+        (
+            "jobs_per_s",
+            Value::Num((run.jobs_per_s() * 10.0).round() / 10.0),
+        ),
         (
             "stages",
             obj(vec![

@@ -83,11 +83,23 @@ const ROWS: &[(&str, &[&str])] = &[
 /// The `(label, path)` allocation rows of the comparison table, in
 /// MiB. Legacy histories without the `alloc` section simply skip them.
 const ALLOC_ROWS: &[(&str, &[&str])] = &[
-    ("parallel alloc sim MiB", &["parallel", "alloc", "simulate", "alloc_bytes"]),
-    ("parallel alloc analyze MiB", &["parallel", "alloc", "analyze", "alloc_bytes"]),
+    (
+        "parallel alloc sim MiB",
+        &["parallel", "alloc", "simulate", "alloc_bytes"],
+    ),
+    (
+        "parallel alloc analyze MiB",
+        &["parallel", "alloc", "analyze", "alloc_bytes"],
+    ),
     ("parallel peak MiB", &["parallel", "alloc", "peak_bytes"]),
-    ("serial alloc sim MiB", &["serial", "alloc", "simulate", "alloc_bytes"]),
-    ("serial alloc analyze MiB", &["serial", "alloc", "analyze", "alloc_bytes"]),
+    (
+        "serial alloc sim MiB",
+        &["serial", "alloc", "simulate", "alloc_bytes"],
+    ),
+    (
+        "serial alloc analyze MiB",
+        &["serial", "alloc", "analyze", "alloc_bytes"],
+    ),
     ("serial peak MiB", &["serial", "alloc", "peak_bytes"]),
 ];
 
@@ -118,7 +130,9 @@ pub fn cmd_bench(args: &Args) -> Result<(), CliError> {
         Some(other) => Err(CliError::Usage(format!(
             "unknown bench subcommand {other:?} (expected 'diff')"
         ))),
-        None => Err(CliError::Usage("missing bench subcommand (expected 'diff')".into())),
+        None => Err(CliError::Usage(
+            "missing bench subcommand (expected 'diff')".into(),
+        )),
     }
 }
 
@@ -169,7 +183,13 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
         run_str(latest, "date"),
     )?;
     outln!()?;
-    outln!("  {:<22} {:>10} {:>10} {:>8}", "metric", "baseline", "latest", "delta")?;
+    outln!(
+        "  {:<22} {:>10} {:>10} {:>8}",
+        "metric",
+        "baseline",
+        "latest",
+        "delta"
+    )?;
     for (label, mpath) in ROWS {
         let (Some(b), Some(l)) = (metric(baseline, mpath), metric(latest, mpath)) else {
             continue;
@@ -185,9 +205,11 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
         };
         const MIB: f64 = 1024.0 * 1024.0;
         match delta_pct(b, l) {
-            Some(d) => {
-                outln!("  {label:<22} {:>10.1} {:>10.1} {d:>+7.1}%", b / MIB, l / MIB)?
-            }
+            Some(d) => outln!(
+                "  {label:<22} {:>10.1} {:>10.1} {d:>+7.1}%",
+                b / MIB,
+                l / MIB
+            )?,
             None => outln!("  {label:<22} {:>10.1} {:>10.1}      n/a", b / MIB, l / MIB)?,
         }
     }
@@ -265,9 +287,10 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
     let mut regressed: Vec<String> = Vec::new();
     outln!()?;
     for (name, unit, paths) in gates {
-        let Some((label, base, latest_v)) = paths.iter().find_map(|p| {
-            Some((p.join("."), metric(baseline, p)?, metric(latest, p)?))
-        }) else {
+        let Some((label, base, latest_v)) = paths
+            .iter()
+            .find_map(|p| Some((p.join("."), metric(baseline, p)?, metric(latest, p)?)))
+        else {
             continue;
         };
         gated_any = true;

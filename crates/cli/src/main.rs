@@ -161,8 +161,14 @@ EXIT CODES:
 /// Flags every command accepts: threading, telemetry files, and
 /// supervision.
 const GLOBAL_FLAGS: &[&str] = &[
-    "threads", "quiet", "metrics-out", "metrics-format", "trace-out", "log-format",
-    "profile-out", "stage-timeout",
+    "threads",
+    "quiet",
+    "metrics-out",
+    "metrics-format",
+    "trace-out",
+    "log-format",
+    "profile-out",
+    "stage-timeout",
 ];
 
 /// The flags `command` takes on top of [`GLOBAL_FLAGS`], or `None` for
@@ -170,13 +176,31 @@ const GLOBAL_FLAGS: &[&str] = &[
 fn command_flags(command: Option<&str>) -> Option<&'static [&'static str]> {
     Some(match command {
         Some("simulate") => &[
-            "system", "seed", "nodes", "days", "users", "out", "faults", "checkpoint-dir",
-            "chunk-jobs", "resume", "chaos-kill-after-chunk", "chaos-stall-at-chunk",
+            "system",
+            "seed",
+            "nodes",
+            "days",
+            "users",
+            "out",
+            "faults",
+            "checkpoint-dir",
+            "chunk-jobs",
+            "resume",
+            "chaos-kill-after-chunk",
+            "chaos-stall-at-chunk",
             "chaos-stall-ms",
         ],
         Some("ingest") => &[
-            "jobs", "system", "spec", "nodes", "strict", "lenient", "error-budget",
-            "repair-policy", "out", "json",
+            "jobs",
+            "system",
+            "spec",
+            "nodes",
+            "strict",
+            "lenient",
+            "error-budget",
+            "repair-policy",
+            "out",
+            "json",
         ],
         Some("analyze") => &["data", "splits", "json", "repair-policy"],
         Some("compare") => &["a", "b", "splits"],
@@ -210,8 +234,16 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
     // knobs (threads, output location) may be overridden.
     if let Some(run_dir) = args.get("resume") {
         for pinned in [
-            "system", "seed", "nodes", "days", "users", "faults", "checkpoint-dir",
-            "chunk-jobs", "chaos-kill-after-chunk", "chaos-stall-at-chunk",
+            "system",
+            "seed",
+            "nodes",
+            "days",
+            "users",
+            "faults",
+            "checkpoint-dir",
+            "chunk-jobs",
+            "chaos-kill-after-chunk",
+            "chaos-stall-at-chunk",
         ] {
             if args.has(pinned) {
                 return Err(CliError::Usage(format!(
@@ -233,7 +265,11 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
     let mut cfg = match system {
         "emmy" => SimConfig::emmy(seed),
         "meggie" => SimConfig::meggie(seed),
-        other => return Err(CliError::Usage(format!("unknown system {other:?} (emmy|meggie)"))),
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown system {other:?} (emmy|meggie)"
+            )))
+        }
     };
     if args.has("nodes") || args.has("days") || args.has("users") {
         // Unspecified dimensions keep the preset's full-scale value, so
@@ -246,7 +282,9 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
     cfg.threads = args.get_or("threads", 0)?;
     let fault_rate: f64 = args.get_or("faults", 0.0)?;
     if !(0.0..=1.0).contains(&fault_rate) {
-        return Err(CliError::Usage(format!("--faults {fault_rate} out of range (0..1)")));
+        return Err(CliError::Usage(format!(
+            "--faults {fault_rate} out of range (0..1)"
+        )));
     }
     if fault_rate > 0.0 {
         cfg.faults = FaultConfig::at_rate(fault_rate);
@@ -274,7 +312,11 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
             run_checkpointed(&cfg, &opts, &RealFs)?
         }
         None => {
-            for needs_ckpt in ["chunk-jobs", "chaos-kill-after-chunk", "chaos-stall-at-chunk"] {
+            for needs_ckpt in [
+                "chunk-jobs",
+                "chaos-kill-after-chunk",
+                "chaos-stall-at-chunk",
+            ] {
                 if args.has(needs_ckpt) {
                     return Err(CliError::Usage(format!(
                         "--{needs_ckpt} requires --checkpoint-dir"
@@ -430,8 +472,8 @@ fn cmd_ingest(args: &Args) -> Result<(), CliError> {
     // error budget; exceeding it (or any strict-mode error) exits
     // non-zero with the line/column of the offending row.
     let threads: usize = args.get_or("threads", 0)?;
-    let jobs_text = std::fs::read_to_string(jobs_path)
-        .map_err(|e| format!("cannot open {jobs_path}: {e}"))?;
+    let jobs_text =
+        std::fs::read_to_string(jobs_path).map_err(|e| format!("cannot open {jobs_path}: {e}"))?;
     let jobs_table = with_threads(threads, || hpcpower_trace::read_jobs_str(&jobs_text, opts))
         .map_err(|e| format!("{jobs_path}: {e}"))?;
     drop(jobs_text);
@@ -440,9 +482,8 @@ fn cmd_ingest(args: &Args) -> Result<(), CliError> {
         Some(sys_path) => {
             let sys_text = std::fs::read_to_string(sys_path)
                 .map_err(|e| format!("cannot open {sys_path}: {e}"))?;
-            let table =
-                with_threads(threads, || hpcpower_trace::read_system_str(&sys_text, opts))
-                    .map_err(|e| format!("{sys_path}: {e}"))?;
+            let table = with_threads(threads, || hpcpower_trace::read_system_str(&sys_text, opts))
+                .map_err(|e| format!("{sys_path}: {e}"))?;
             quarantined.extend(table.quarantined);
             table.samples
         }
@@ -480,8 +521,7 @@ fn cmd_ingest(args: &Args) -> Result<(), CliError> {
         let mut dataset_json = Vec::new();
         json::write_dataset(&mut dataset_json, &dataset).map_err(CliError::io)?;
         publish(&out.join("dataset.json"), &dataset_json)?;
-        let quality_json =
-            serde_json::to_string_pretty(&quality).map_err(|e| e.to_string())?;
+        let quality_json = serde_json::to_string_pretty(&quality).map_err(|e| e.to_string())?;
         publish(&out.join("quality.json"), quality_json.as_bytes())?;
     }
     if args.has("json") {
@@ -601,10 +641,7 @@ impl Telemetry {
             .transpose()?
             .unwrap_or_default();
         let trace_out = args.get("trace-out").map(PathBuf::from);
-        let profile_out = args
-            .get("profile-out")
-            .map(parse_profile_out)
-            .transpose()?;
+        let profile_out = args.get("profile-out").map(parse_profile_out).transpose()?;
         let log_format = args
             .get("log-format")
             .map(|s| s.parse::<hpcpower_obs::LogFormat>())
@@ -652,10 +689,7 @@ impl Telemetry {
                 "obs.profile.orphan_events",
                 (graph.orphan_begins + graph.orphan_ends) as f64,
             );
-            hpcpower_obs::gauge_set(
-                "obs.profile.dropped_events",
-                graph.dropped_events as f64,
-            );
+            hpcpower_obs::gauge_set("obs.profile.dropped_events", graph.dropped_events as f64);
             if graph.dropped_events > 0 && !self.quiet {
                 eprintln!(
                     "warning: timeline ring wrapped, {} oldest events dropped before \
@@ -668,8 +702,11 @@ impl Telemetry {
         }
         let snap = hpcpower_obs::snapshot();
         if let Some(path) = &self.metrics_out {
-            std::fs::write(path, hpcpower_obs::render_metrics(&snap, self.metrics_format))
-                .map_err(|e| format!("cannot write metrics to {}: {e}", path.display()))?;
+            std::fs::write(
+                path,
+                hpcpower_obs::render_metrics(&snap, self.metrics_format),
+            )
+            .map_err(|e| format!("cannot write metrics to {}: {e}", path.display()))?;
         }
         if let Some(path) = &self.trace_out {
             let timeline = hpcpower_obs::timeline_snapshot();
@@ -712,7 +749,10 @@ fn main() {
     // Global --stage-timeout: arm the heartbeat watchdog. A stall on a
     // checkpointed simulate exits 6 (the run directory resumes exactly
     // where it stopped); anything else exits 5.
-    let supervisor = match args.get_parsed::<f64>("stage-timeout").unwrap_or_else(|e| fail(e)) {
+    let supervisor = match args
+        .get_parsed::<f64>("stage-timeout")
+        .unwrap_or_else(|e| fail(e))
+    {
         Some(secs) if secs > 0.0 => {
             let resumable = args.command.as_deref() == Some("simulate")
                 && (args.has("checkpoint-dir") || args.has("resume"));

@@ -72,7 +72,13 @@ fn cmd_report(args: &Args) -> Result<(), CliError> {
             .then(a.stack.cmp(&b.stack))
     });
     outln!()?;
-    let alloc_col = |cell: String| if has_bytes { format!(" {cell:>12}") } else { String::new() };
+    let alloc_col = |cell: String| {
+        if has_bytes {
+            format!(" {cell:>12}")
+        } else {
+            String::new()
+        }
+    };
     outln!(
         "  {:>10} {:>6}{}  path",
         "self ms",
@@ -93,7 +99,10 @@ fn cmd_report(args: &Args) -> Result<(), CliError> {
         )?;
     }
     if entries.len() > top {
-        outln!("  ... {} more path(s); raise --top to see them", entries.len() - top)?;
+        outln!(
+            "  ... {} more path(s); raise --top to see them",
+            entries.len() - top
+        )?;
     }
     Ok(())
 }
@@ -158,7 +167,11 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
         let dx = x.b_ns.abs_diff(x.a_ns);
         let dy = y.b_ns.abs_diff(y.a_ns);
         dy.cmp(&dx)
-            .then_with(|| y.b_bytes.abs_diff(y.a_bytes).cmp(&x.b_bytes.abs_diff(x.a_bytes)))
+            .then_with(|| {
+                y.b_bytes
+                    .abs_diff(y.a_bytes)
+                    .cmp(&x.b_bytes.abs_diff(x.a_bytes))
+            })
             .then_with(|| x.stack.cmp(&y.stack))
     });
     outln!()?;
@@ -196,7 +209,10 @@ fn cmd_diff(args: &Args) -> Result<(), CliError> {
         )?;
     }
     if rows.len() > top {
-        outln!("  ... {} more path(s); raise --top to see them", rows.len() - top)?;
+        outln!(
+            "  ... {} more path(s); raise --top to see them",
+            rows.len() - top
+        )?;
     }
     Ok(())
 }

@@ -41,10 +41,7 @@ impl Supervisor {
                     return;
                 }
                 let age = Duration::from_nanos(hpcpower_obs::watchdog::last_beat_age_ns());
-                hpcpower_obs::gauge_set(
-                    "obs.watchdog.last_beat_age_seconds",
-                    age.as_secs_f64(),
-                );
+                hpcpower_obs::gauge_set("obs.watchdog.last_beat_age_seconds", age.as_secs_f64());
                 // Re-check the stop flag after measuring: the command
                 // finishing between the sleep and the comparison must
                 // not read as a stall.
@@ -56,9 +53,7 @@ impl Supervisor {
                         timeout.as_secs_f64()
                     );
                     if exit_code == crate::errors::EXIT_INTERRUPTED {
-                        eprintln!(
-                            "watchdog: the run is checkpointed; rerun with --resume RUN_DIR"
-                        );
+                        eprintln!("watchdog: the run is checkpointed; rerun with --resume RUN_DIR");
                     }
                     std::process::exit(exit_code);
                 }
@@ -75,10 +70,7 @@ impl Supervisor {
                 None
             }
         };
-        Supervisor {
-            stop,
-            handle,
-        }
+        Supervisor { stop, handle }
     }
 
     /// Ends supervision: disarms the heartbeat and joins the poll

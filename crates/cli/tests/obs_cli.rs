@@ -38,19 +38,8 @@ fn span_total_ns(metrics: &serde_json::Value, name: &str) -> u64 {
 fn simulate(dir: &Path, out_name: &str, extra: &[&str]) -> Vec<u8> {
     let out_dir = dir.join(out_name);
     let mut args = vec![
-        "simulate",
-        "--system",
-        "emmy",
-        "--seed",
-        "3",
-        "--nodes",
-        "24",
-        "--days",
-        "2",
-        "--users",
-        "10",
-        "--quiet",
-        "--out",
+        "simulate", "--system", "emmy", "--seed", "3", "--nodes", "24", "--days", "2", "--users",
+        "10", "--quiet", "--out",
     ];
     let out_str = out_dir.to_str().unwrap().to_string();
     args.push(&out_str);
@@ -121,12 +110,31 @@ fn log_format_prints_summary_to_stderr_and_quiet_suppresses_it() {
     let data = dir.join("trace").join("dataset.json");
     let data_str = data.to_str().unwrap().to_string();
 
-    let noisy = run(&["analyze", "--data", &data_str, "--splits", "2", "--log-format", "text"]);
+    let noisy = run(&[
+        "analyze",
+        "--data",
+        &data_str,
+        "--splits",
+        "2",
+        "--log-format",
+        "text",
+    ]);
     let stderr = String::from_utf8_lossy(&noisy.stderr);
-    assert!(stderr.contains("analyze"), "text summary names the command span");
+    assert!(
+        stderr.contains("analyze"),
+        "text summary names the command span"
+    );
     assert!(stderr.contains("counters:"), "text summary lists counters");
 
-    let json_fmt = run(&["analyze", "--data", &data_str, "--splits", "2", "--log-format", "json"]);
+    let json_fmt = run(&[
+        "analyze",
+        "--data",
+        &data_str,
+        "--splits",
+        "2",
+        "--log-format",
+        "json",
+    ]);
     let first = String::from_utf8_lossy(&json_fmt.stderr);
     let line = first.lines().next().expect("jsonl output");
     let v: serde_json::Value = serde_json::parse(line).expect("stderr line is JSON");
@@ -173,21 +181,32 @@ fn trace_out_leaves_dataset_bytes_identical_and_writes_a_valid_chrome_trace() {
     let mut stacks: std::collections::BTreeMap<u64, Vec<String>> = Default::default();
     let mut saw_simulate = false;
     for ev in events {
-        let name = lookup(ev, "name").and_then(|v| v.as_str()).expect("event name");
-        let ph = lookup(ev, "ph").and_then(|v| v.as_str()).expect("event phase");
-        let tid = lookup(ev, "tid").and_then(|v| v.as_u64()).expect("event tid");
+        let name = lookup(ev, "name")
+            .and_then(|v| v.as_str())
+            .expect("event name");
+        let ph = lookup(ev, "ph")
+            .and_then(|v| v.as_str())
+            .expect("event phase");
+        let tid = lookup(ev, "tid")
+            .and_then(|v| v.as_u64())
+            .expect("event tid");
         saw_simulate |= name == "simulate";
         let stack = stacks.entry(tid).or_default();
         match ph {
             "B" => stack.push(name.to_string()),
             "E" => {
-                let open = stack.pop().unwrap_or_else(|| panic!("unbalanced E {name:?}"));
+                let open = stack
+                    .pop()
+                    .unwrap_or_else(|| panic!("unbalanced E {name:?}"));
                 assert_eq!(open, name, "E must close the innermost B on tid {tid}");
             }
             other => panic!("unexpected phase {other:?}"),
         }
     }
-    assert!(stacks.values().all(Vec::is_empty), "all spans must be closed");
+    assert!(
+        stacks.values().all(Vec::is_empty),
+        "all spans must be closed"
+    );
     assert!(saw_simulate, "simulate span must appear in the trace");
 }
 
@@ -228,12 +247,22 @@ fn bench_diff_gates_on_synthetic_regression() {
     // Informational diff: exits 0 even though the trajectory regressed.
     let plain = run(&["bench", "diff", "--bench", &hist_str]);
     let stdout = String::from_utf8_lossy(&plain.stdout);
-    assert!(stdout.contains("parallel.wall_s"), "table lists the gate metric");
+    assert!(
+        stdout.contains("parallel.wall_s"),
+        "table lists the gate metric"
+    );
     assert!(stdout.contains("+30.0%"), "delta is computed: {stdout}");
 
     // Gated at 20%: the 30% regression must exit non-zero (code 3).
     let gated = Command::new(bin())
-        .args(["bench", "diff", "--bench", &hist_str, "--fail-on-regress", "20"])
+        .args([
+            "bench",
+            "diff",
+            "--bench",
+            &hist_str,
+            "--fail-on-regress",
+            "20",
+        ])
         .output()
         .expect("spawn hpcpower");
     assert_eq!(
@@ -248,18 +277,20 @@ fn bench_diff_gates_on_synthetic_regression() {
     );
 
     // Gated at 50%: within budget, exits 0.
-    run(&["bench", "diff", "--bench", &hist_str, "--fail-on-regress", "50"]);
+    run(&[
+        "bench",
+        "diff",
+        "--bench",
+        &hist_str,
+        "--fail-on-regress",
+        "50",
+    ]);
 
     // And the repository's own committed history must pass the gate the
     // way tier1.sh runs it.
     let repo_hist = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pipeline.json");
     if repo_hist.exists() {
-        run(&[
-            "bench",
-            "diff",
-            "--bench",
-            repo_hist.to_str().unwrap(),
-        ]);
+        run(&["bench", "diff", "--bench", repo_hist.to_str().unwrap()]);
     }
 }
 
@@ -285,7 +316,14 @@ fn bench_diff_gates_per_stage_timings() {
     let hist_str = hist.to_str().unwrap().to_string();
 
     let gated = Command::new(bin())
-        .args(["bench", "diff", "--bench", &hist_str, "--fail-on-regress", "20"])
+        .args([
+            "bench",
+            "diff",
+            "--bench",
+            &hist_str,
+            "--fail-on-regress",
+            "20",
+        ])
         .output()
         .expect("spawn hpcpower");
     assert_eq!(
@@ -326,7 +364,14 @@ fn bench_diff_skips_gate_across_core_count_change() {
     .expect("write history");
     let hist_str = hist.to_str().unwrap().to_string();
 
-    let out = run(&["bench", "diff", "--bench", &hist_str, "--fail-on-regress", "10"]);
+    let out = run(&[
+        "bench",
+        "diff",
+        "--bench",
+        &hist_str,
+        "--fail-on-regress",
+        "10",
+    ]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         stdout.contains("cores_available changed"),

@@ -14,7 +14,10 @@ fn bin() -> &'static str {
 }
 
 fn run_raw(args: &[&str]) -> Output {
-    Command::new(bin()).args(args).output().expect("spawn hpcpower")
+    Command::new(bin())
+        .args(args)
+        .output()
+        .expect("spawn hpcpower")
 }
 
 fn run(args: &[&str]) -> Output {
@@ -42,8 +45,22 @@ fn simulate(dir: &Path, out_name: &str, threads: &str, extra: &[&str]) -> Vec<u8
     let out_dir = dir.join(out_name);
     let out_str = out_dir.to_str().unwrap().to_string();
     let mut args = vec![
-        "simulate", "--system", "emmy", "--seed", "11", "--nodes", "16", "--days", "2",
-        "--users", "8", "--threads", threads, "--quiet", "--out", &out_str,
+        "simulate",
+        "--system",
+        "emmy",
+        "--seed",
+        "11",
+        "--nodes",
+        "16",
+        "--days",
+        "2",
+        "--users",
+        "8",
+        "--threads",
+        threads,
+        "--quiet",
+        "--out",
+        &out_str,
     ];
     args.extend_from_slice(extra);
     run(&args);
@@ -79,7 +96,8 @@ fn profile_out_leaves_dataset_bytes_identical_at_1_and_4_threads() {
         // Every line is `path self_ns`.
         for line in text.lines() {
             let (_, v) = line.rsplit_once(' ').expect("folded line has a value");
-            v.parse::<u64>().unwrap_or_else(|_| panic!("numeric self_ns in {line:?}"));
+            v.parse::<u64>()
+                .unwrap_or_else(|_| panic!("numeric self_ns in {line:?}"));
         }
     }
 }
@@ -93,7 +111,11 @@ fn profile_out_svg_and_speedscope_are_structurally_valid() {
     let spec = format!("{},svg", svg_path.display());
     simulate(&dir, "svg-run", "2", &["--profile-out", &spec]);
     let svg = std::fs::read_to_string(&svg_path).expect("svg written");
-    assert!(svg.starts_with("<svg "), "SVG root element first: {}", &svg[..40.min(svg.len())]);
+    assert!(
+        svg.starts_with("<svg "),
+        "SVG root element first: {}",
+        &svg[..40.min(svg.len())]
+    );
     assert!(svg.trim_end().ends_with("</svg>"));
     assert_eq!(svg.matches("<g>").count(), svg.matches("</g>").count());
 
@@ -111,8 +133,14 @@ fn profile_out_svg_and_speedscope_are_structurally_valid() {
     // Speedscope carries allocated bytes, so the report shows them.
     let report = run(&["profile", "report", "--profile", &ss_str]);
     let stdout = String::from_utf8_lossy(&report.stdout);
-    assert!(stdout.contains(" KiB allocated)"), "header totals the bytes: {stdout}");
-    assert!(stdout.contains("alloc KiB"), "report has the bytes column: {stdout}");
+    assert!(
+        stdout.contains(" KiB allocated)"),
+        "header totals the bytes: {stdout}"
+    );
+    assert!(
+        stdout.contains("alloc KiB"),
+        "report has the bytes column: {stdout}"
+    );
     let diff = run(&["profile", "diff", "--a", &ss_str, "--b", &ss_str]);
     let stdout = String::from_utf8_lossy(&diff.stdout);
     assert!(
@@ -136,19 +164,37 @@ fn profile_report_and_diff_work_on_emitted_profiles() {
 
     let report = run(&["profile", "report", "--profile", &a_str, "--top", "5"]);
     let stdout = String::from_utf8_lossy(&report.stdout);
-    assert!(stdout.contains("simulate"), "report lists the simulate path: {stdout}");
+    assert!(
+        stdout.contains("simulate"),
+        "report lists the simulate path: {stdout}"
+    );
     assert!(stdout.contains("self ms"), "report has the header row");
     // Folded profiles carry no allocation bytes: the header says so and
     // the table has no column of zeros.
-    assert!(stdout.contains("no allocation data"), "header names the gap: {stdout}");
-    assert!(!stdout.contains("alloc KiB"), "no bytes column for folded input: {stdout}");
+    assert!(
+        stdout.contains("no allocation data"),
+        "header names the gap: {stdout}"
+    );
+    assert!(
+        !stdout.contains("alloc KiB"),
+        "no bytes column for folded input: {stdout}"
+    );
 
     let diff = run(&["profile", "diff", "--a", &a_str, "--b", &b_str]);
     let stdout = String::from_utf8_lossy(&diff.stdout);
-    assert!(stdout.contains("delta"), "diff has the delta column: {stdout}");
+    assert!(
+        stdout.contains("delta"),
+        "diff has the delta column: {stdout}"
+    );
     // Nor does the diff of two folded profiles show columns of zeros.
-    assert!(stdout.contains("no allocation data"), "header names the gap: {stdout}");
-    assert!(!stdout.contains("KiB"), "no bytes columns for folded input: {stdout}");
+    assert!(
+        stdout.contains("no allocation data"),
+        "header names the gap: {stdout}"
+    );
+    assert!(
+        !stdout.contains("KiB"),
+        "no bytes columns for folded input: {stdout}"
+    );
 }
 
 /// Usage errors exit 2: a bad format token after the comma, and a
@@ -156,10 +202,20 @@ fn profile_report_and_diff_work_on_emitted_profiles() {
 #[test]
 fn profile_usage_errors_exit_2() {
     let bad_fmt = run_raw(&[
-        "simulate", "--system", "emmy", "--seed", "1", "--quiet",
-        "--profile-out", "/tmp/x.folded,pprof",
+        "simulate",
+        "--system",
+        "emmy",
+        "--seed",
+        "1",
+        "--quiet",
+        "--profile-out",
+        "/tmp/x.folded,pprof",
     ]);
-    assert_eq!(bad_fmt.status.code(), Some(2), "unknown profile format must exit 2");
+    assert_eq!(
+        bad_fmt.status.code(),
+        Some(2),
+        "unknown profile format must exit 2"
+    );
     assert!(
         String::from_utf8_lossy(&bad_fmt.stderr).contains("pprof"),
         "error names the bad token"
@@ -169,7 +225,11 @@ fn profile_usage_errors_exit_2() {
     assert_eq!(no_sub.status.code(), Some(2));
 
     let missing = run_raw(&["profile", "report", "--profile", "/nonexistent/p.folded"]);
-    assert_eq!(missing.status.code(), Some(2), "unreadable profile must exit 2");
+    assert_eq!(
+        missing.status.code(),
+        Some(2),
+        "unreadable profile must exit 2"
+    );
 }
 
 /// No baseline is not a failure: a missing history file, an empty run
@@ -231,7 +291,14 @@ fn bench_diff_gates_on_allocation_regressions() {
     .expect("write history");
     let hist_str = hist.to_str().unwrap().to_string();
 
-    let gated = run_raw(&["bench", "diff", "--bench", &hist_str, "--fail-on-regress", "20"]);
+    let gated = run_raw(&[
+        "bench",
+        "diff",
+        "--bench",
+        &hist_str,
+        "--fail-on-regress",
+        "20",
+    ]);
     assert_eq!(
         gated.status.code(),
         Some(3),
@@ -246,7 +313,14 @@ fn bench_diff_gates_on_allocation_regressions() {
     );
 
     // Same history, generous threshold: passes.
-    run(&["bench", "diff", "--bench", &hist_str, "--fail-on-regress", "250"]);
+    run(&[
+        "bench",
+        "diff",
+        "--bench",
+        &hist_str,
+        "--fail-on-regress",
+        "250",
+    ]);
 
     // Legacy history without alloc sections: the alloc gates are
     // skipped, not tripped.
@@ -261,5 +335,12 @@ fn bench_diff_gates_on_allocation_regressions() {
 ]}"#,
     )
     .expect("write history");
-    run(&["bench", "diff", "--bench", legacy.to_str().unwrap(), "--fail-on-regress", "10"]);
+    run(&[
+        "bench",
+        "diff",
+        "--bench",
+        legacy.to_str().unwrap(),
+        "--fail-on-regress",
+        "10",
+    ]);
 }

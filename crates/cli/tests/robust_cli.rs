@@ -12,7 +12,10 @@ fn bin() -> &'static str {
 }
 
 fn run_raw(args: &[&str]) -> Output {
-    Command::new(bin()).args(args).output().expect("spawn hpcpower")
+    Command::new(bin())
+        .args(args)
+        .output()
+        .expect("spawn hpcpower")
 }
 
 fn run(args: &[&str]) -> Output {
@@ -42,9 +45,24 @@ fn simulate_faulted(dir: &Path, rate: &str) -> std::path::PathBuf {
     let metrics = dir.join(format!("sim-metrics-{rate}.json"));
     let metrics_str = metrics.to_str().unwrap().to_string();
     let out = run(&[
-        "simulate", "--system", "emmy", "--seed", "9", "--nodes", "16", "--days", "3",
-        "--users", "8", "--quiet", "--faults", rate, "--out", &out_str,
-        "--metrics-out", &metrics_str,
+        "simulate",
+        "--system",
+        "emmy",
+        "--seed",
+        "9",
+        "--nodes",
+        "16",
+        "--days",
+        "3",
+        "--users",
+        "8",
+        "--quiet",
+        "--faults",
+        rate,
+        "--out",
+        &out_str,
+        "--metrics-out",
+        &metrics_str,
     ]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
@@ -73,7 +91,11 @@ fn simulate_faults_then_analyze_repair_policy_round_trips() {
 
     // Without repair the dirty dataset is rejected (exit 2)...
     let refused = run_raw(&["analyze", "--data", &data_str, "--splits", "2"]);
-    assert_eq!(refused.status.code(), Some(2), "dirty dataset must be refused");
+    assert_eq!(
+        refused.status.code(),
+        Some(2),
+        "dirty dataset must be refused"
+    );
     assert!(
         String::from_utf8_lossy(&refused.stderr).contains("violation"),
         "refusal must cite the violations"
@@ -81,16 +103,31 @@ fn simulate_faults_then_analyze_repair_policy_round_trips() {
 
     // ...with --repair-policy it analyzes and reports data quality.
     let out = run(&[
-        "analyze", "--data", &data_str, "--splits", "2", "--repair-policy", "hold-last",
+        "analyze",
+        "--data",
+        &data_str,
+        "--splits",
+        "2",
+        "--repair-policy",
+        "hold-last",
     ]);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("## Data quality"), "missing quality section");
+    assert!(
+        stdout.contains("## Data quality"),
+        "missing quality section"
+    );
     assert!(stdout.contains("repair policy       : hold-last"));
     assert!(stdout.contains("## Fig. 1/2"), "analysis must still run");
 
     // The JSON report carries the same section.
     let json_out = run(&[
-        "analyze", "--data", &data_str, "--splits", "2", "--repair-policy", "drop-job",
+        "analyze",
+        "--data",
+        &data_str,
+        "--splits",
+        "2",
+        "--repair-policy",
+        "drop-job",
         "--json",
     ]);
     let text = String::from_utf8_lossy(&json_out.stdout).to_string();
@@ -111,8 +148,8 @@ fn clean_report_bytes_are_unchanged_by_the_fault_machinery() {
     let out_dir = dir.join("clean");
     let out_str = out_dir.to_str().unwrap().to_string();
     run(&[
-        "simulate", "--system", "emmy", "--seed", "9", "--nodes", "16", "--days", "3",
-        "--users", "8", "--quiet", "--out", &out_str,
+        "simulate", "--system", "emmy", "--seed", "9", "--nodes", "16", "--days", "3", "--users",
+        "8", "--quiet", "--out", &out_str,
     ]);
     let data = out_dir.join("dataset.json");
     let data_str = data.to_str().unwrap().to_string();
@@ -120,21 +157,36 @@ fn clean_report_bytes_are_unchanged_by_the_fault_machinery() {
     // A clean dataset repaired under any policy is untouched, so the
     // report differs only by the (explicitly requested) quality section.
     let repaired = run(&[
-        "analyze", "--data", &data_str, "--splits", "2", "--repair-policy", "linear",
+        "analyze",
+        "--data",
+        &data_str,
+        "--splits",
+        "2",
+        "--repair-policy",
+        "linear",
     ]);
     let plain_text = String::from_utf8_lossy(&plain.stdout).to_string();
     let repaired_text = String::from_utf8_lossy(&repaired.stdout).to_string();
     assert_ne!(plain_text, repaired_text, "quality section expected");
     let stripped: String = repaired_text
         .lines()
-        .filter(|l| !l.starts_with("## Data quality") && !l.starts_with("  repair policy")
-            && !l.starts_with("  jobs      ") && !l.starts_with("  quarantined rows")
-            && !l.starts_with("  accounting fixes") && !l.starts_with("  system series")
-            && !l.starts_with("  series coverage") && !l.starts_with("  instrumented series")
-            && !l.starts_with("  validation "))
+        .filter(|l| {
+            !l.starts_with("## Data quality")
+                && !l.starts_with("  repair policy")
+                && !l.starts_with("  jobs      ")
+                && !l.starts_with("  quarantined rows")
+                && !l.starts_with("  accounting fixes")
+                && !l.starts_with("  system series")
+                && !l.starts_with("  series coverage")
+                && !l.starts_with("  instrumented series")
+                && !l.starts_with("  validation ")
+        })
         .map(|l| format!("{l}\n"))
         .collect();
-    assert_eq!(plain_text, stripped, "analysis sections must be byte-identical");
+    assert_eq!(
+        plain_text, stripped,
+        "analysis sections must be byte-identical"
+    );
 }
 
 #[test]
@@ -151,13 +203,30 @@ fn ingest_repairs_faulted_csvs_and_exceeded_budget_exits_nonzero() {
     let metrics_path = dir.join("metrics.json");
     let metrics_str = metrics_path.to_str().unwrap().to_string();
     let out = run(&[
-        "ingest", "--jobs", &jobs_str, "--system", &system_str, "--nodes", "16",
-        "--lenient", "--repair-policy", "linear", "--out", &out_str,
-        "--metrics-out", &metrics_str,
+        "ingest",
+        "--jobs",
+        &jobs_str,
+        "--system",
+        &system_str,
+        "--nodes",
+        "16",
+        "--lenient",
+        "--repair-policy",
+        "linear",
+        "--out",
+        &out_str,
+        "--metrics-out",
+        &metrics_str,
     ]);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("## Data quality"), "quality report expected:\n{stdout}");
-    assert!(stdout.contains("0 after"), "repair must clear all violations");
+    assert!(
+        stdout.contains("## Data quality"),
+        "quality report expected:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("0 after"),
+        "repair must clear all violations"
+    );
 
     // The repair layer reports its work through the obs counters.
     let doc = std::fs::read_to_string(&metrics_path).expect("metrics written");
@@ -178,7 +247,10 @@ fn ingest_repairs_faulted_csvs_and_exceeded_budget_exits_nonzero() {
     let data = out_dir.join("dataset.json");
     let data_str = data.to_str().unwrap().to_string();
     run(&["analyze", "--data", &data_str, "--splits", "2"]);
-    assert!(out_dir.join("quality.json").exists(), "quality.json written");
+    assert!(
+        out_dir.join("quality.json").exists(),
+        "quality.json written"
+    );
 
     // Corrupt the CSV beyond a tiny budget: lenient mode must exit
     // non-zero and summarize the quarantine.
@@ -188,9 +260,20 @@ fn ingest_repairs_faulted_csvs_and_exceeded_budget_exits_nonzero() {
     std::fs::write(&bad, corrupted).expect("write corrupted csv");
     let bad_str = bad.to_str().unwrap().to_string();
     let refused = run_raw(&[
-        "ingest", "--jobs", &bad_str, "--nodes", "16", "--lenient", "--error-budget", "2",
+        "ingest",
+        "--jobs",
+        &bad_str,
+        "--nodes",
+        "16",
+        "--lenient",
+        "--error-budget",
+        "2",
     ]);
-    assert_eq!(refused.status.code(), Some(2), "budget overrun must exit non-zero");
+    assert_eq!(
+        refused.status.code(),
+        Some(2),
+        "budget overrun must exit non-zero"
+    );
     let stderr = String::from_utf8_lossy(&refused.stderr);
     assert!(
         stderr.contains("error budget exceeded") && stderr.contains("3 rows quarantined"),
@@ -215,14 +298,37 @@ fn stalled_checkpointed_simulate_exits_6_and_publishes_nothing() {
     let ckpt = dir.join("ckpt");
     let out_dir = dir.join("out");
     let out = run_raw(&[
-        "simulate", "--system", "emmy", "--seed", "7", "--nodes", "24", "--days", "2",
-        "--users", "16", "--quiet", "--checkpoint-dir", ckpt.to_str().unwrap(),
-        "--chunk-jobs", "8", "--chaos-stall-at-chunk", "1", "--chaos-stall-ms", "30000",
-        "--stage-timeout", "1", "--out", out_dir.to_str().unwrap(),
+        "simulate",
+        "--system",
+        "emmy",
+        "--seed",
+        "7",
+        "--nodes",
+        "24",
+        "--days",
+        "2",
+        "--users",
+        "16",
+        "--quiet",
+        "--checkpoint-dir",
+        ckpt.to_str().unwrap(),
+        "--chunk-jobs",
+        "8",
+        "--chaos-stall-at-chunk",
+        "1",
+        "--chaos-stall-ms",
+        "30000",
+        "--stage-timeout",
+        "1",
+        "--out",
+        out_dir.to_str().unwrap(),
     ]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(6), "stall must exit 6: {stderr}");
-    assert!(stderr.contains("--resume"), "the exit must point at --resume: {stderr}");
+    assert!(
+        stderr.contains("--resume"),
+        "the exit must point at --resume: {stderr}"
+    );
     assert!(
         !out_dir.join("dataset.json").exists(),
         "a stalled run must not publish dataset.json"

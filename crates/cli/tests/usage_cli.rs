@@ -15,7 +15,10 @@ fn assert_usage_error(args: &[&str], needle: &str) {
     let out = run(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "hpcpower {args:?}: {stderr}");
-    assert!(stderr.contains(needle), "hpcpower {args:?} must name {needle}: {stderr}");
+    assert!(
+        stderr.contains(needle),
+        "hpcpower {args:?} must name {needle}: {stderr}"
+    );
 }
 
 /// A misspelt flag stops the run before anything is written, rather
@@ -31,7 +34,10 @@ fn misspelt_flag_exits_2_and_writes_nothing() {
         ],
         "--seeed",
     );
-    assert!(!out_dir.exists(), "a rejected command must not write its outputs");
+    assert!(
+        !out_dir.exists(),
+        "a rejected command must not write its outputs"
+    );
 }
 
 /// Removed flags are unknown flags: the live service's `--serve` and
@@ -39,11 +45,15 @@ fn misspelt_flag_exits_2_and_writes_nothing() {
 #[test]
 fn removed_live_service_flag_exits_2() {
     assert_usage_error(
-        &["simulate", "--serve", ":0", "--nodes", "16", "--days", "2", "--users", "8"],
+        &[
+            "simulate", "--serve", ":0", "--nodes", "16", "--days", "2", "--users", "8",
+        ],
         "--serve",
     );
     assert_usage_error(
-        &["simulate", "--swf", "--nodes", "16", "--days", "2", "--users", "8"],
+        &[
+            "simulate", "--swf", "--nodes", "16", "--days", "2", "--users", "8",
+        ],
         "--swf",
     );
 }
@@ -52,7 +62,10 @@ fn removed_live_service_flag_exits_2() {
 /// the union of all commands.
 #[test]
 fn another_commands_flag_exits_2() {
-    assert_usage_error(&["analyze", "--data", "x.json", "--faults", "0.1"], "--faults");
+    assert_usage_error(
+        &["analyze", "--data", "x.json", "--faults", "0.1"],
+        "--faults",
+    );
 }
 
 #[test]
@@ -71,13 +84,32 @@ fn closed_stdout_exits_0_without_panicking() {
     let sim = run(&[
         "simulate", "--nodes", "16", "--days", "2", "--users", "8", "--quiet", "--out", d,
     ]);
-    assert!(sim.status.success(), "{}", String::from_utf8_lossy(&sim.stderr));
-    let (data, jobs, system) =
-        (format!("{d}/dataset.json"), format!("{d}/jobs.csv"), format!("{d}/system.csv"));
+    assert!(
+        sim.status.success(),
+        "{}",
+        String::from_utf8_lossy(&sim.stderr)
+    );
+    let (data, jobs, system) = (
+        format!("{d}/dataset.json"),
+        format!("{d}/jobs.csv"),
+        format!("{d}/system.csv"),
+    );
     for args in [
         vec!["help"],
-        vec!["predict", "--data", &data, "--user", "1", "--nodes", "2", "--walltime-h", "1"],
-        vec!["ingest", "--jobs", &jobs, "--system", &system, "--nodes", "16"],
+        vec![
+            "predict",
+            "--data",
+            &data,
+            "--user",
+            "1",
+            "--nodes",
+            "2",
+            "--walltime-h",
+            "1",
+        ],
+        vec![
+            "ingest", "--jobs", &jobs, "--system", &system, "--nodes", "16",
+        ],
     ] {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);

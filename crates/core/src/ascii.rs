@@ -96,7 +96,7 @@ mod tests {
         let s = render_cdf(&points, 20, 4);
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 6); // 4 rows + axis + labels
-        // Top row has marks only near the right edge.
+                                    // Top row has marks only near the right edge.
         assert!(lines[0].trim_end().ends_with('#') || lines[0].contains('#'));
         // Bottom data row is mostly filled.
         let bottom = lines[3];

@@ -76,7 +76,11 @@ pub fn app_power_table(dataset: &TraceDataset, apps: Option<&[&str]>) -> Vec<App
                     app: dataset.app_name(app_id).to_string(),
                     power_w: MeanStd {
                         mean: r.power.mean(),
-                        std_dev: if r.power.count() > 1 { r.power.std_dev() } else { 0.0 },
+                        std_dev: if r.power.count() > 1 {
+                            r.power.std_dev()
+                        } else {
+                            0.0
+                        },
                         n: r.power.count() as usize,
                     },
                 });
@@ -151,7 +155,11 @@ pub fn split_analysis(dataset: &TraceDataset) -> Result<SplitAnalysis> {
             "need at least 4 jobs for split analysis".into(),
         ));
     }
-    let runtimes: Vec<f64> = dataset.jobs.iter().map(|j| j.runtime_min() as f64).collect();
+    let runtimes: Vec<f64> = dataset
+        .jobs
+        .iter()
+        .map(|j| j.runtime_min() as f64)
+        .collect();
     let sizes: Vec<f64> = dataset.jobs.iter().map(|j| j.nodes as f64).collect();
     let powers = dataset.per_node_powers();
     let median_runtime = dataset

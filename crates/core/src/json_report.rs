@@ -103,16 +103,46 @@ pub fn build_with(
     // (`report.part.<field>`), recorded on whichever worker runs it.
     type Task<'a> = Box<dyn FnOnce() -> Part + Send + 'a>;
     let tasks: Vec<(&str, Task<'_>)> = vec![
-        ("system_level", Box::new(|| Part::SystemLevel(system_level::analyze(d)))),
-        ("power_pdf", Box::new(|| Part::PowerPdf(job_level::power_pdf(d, 40).ok()))),
-        ("app_power", Box::new(|| Part::AppPower(job_level::app_power_table(d, None)))),
-        ("correlations", Box::new(|| Part::Correlations(job_level::correlation_table(d).ok()))),
-        ("splits", Box::new(|| Part::Splits(job_level::split_analysis(d).ok()))),
-        ("temporal", Box::new(|| Part::Temporal(temporal::analyze(d).ok()))),
-        ("temporal_by_app", Box::new(|| Part::TemporalByApp(temporal::by_app(d, 20)))),
-        ("spatial", Box::new(|| Part::Spatial(spatial::analyze(d).ok()))),
-        ("spatial_by_app", Box::new(|| Part::SpatialByApp(spatial::by_app(d, 20)))),
-        ("concentration", Box::new(|| Part::Concentration(user_level::concentration(d).ok()))),
+        (
+            "system_level",
+            Box::new(|| Part::SystemLevel(system_level::analyze(d))),
+        ),
+        (
+            "power_pdf",
+            Box::new(|| Part::PowerPdf(job_level::power_pdf(d, 40).ok())),
+        ),
+        (
+            "app_power",
+            Box::new(|| Part::AppPower(job_level::app_power_table(d, None))),
+        ),
+        (
+            "correlations",
+            Box::new(|| Part::Correlations(job_level::correlation_table(d).ok())),
+        ),
+        (
+            "splits",
+            Box::new(|| Part::Splits(job_level::split_analysis(d).ok())),
+        ),
+        (
+            "temporal",
+            Box::new(|| Part::Temporal(temporal::analyze(d).ok())),
+        ),
+        (
+            "temporal_by_app",
+            Box::new(|| Part::TemporalByApp(temporal::by_app(d, 20))),
+        ),
+        (
+            "spatial",
+            Box::new(|| Part::Spatial(spatial::analyze(d).ok())),
+        ),
+        (
+            "spatial_by_app",
+            Box::new(|| Part::SpatialByApp(spatial::by_app(d, 20))),
+        ),
+        (
+            "concentration",
+            Box::new(|| Part::Concentration(user_level::concentration(d).ok())),
+        ),
         (
             "user_variability",
             Box::new(|| Part::UserVariability(user_level::user_variability(d, 3).ok())),
@@ -121,21 +151,30 @@ pub fn build_with(
             "cluster_tightness",
             Box::new(|| {
                 Part::ClusterTightness(
-                    [user_level::ClusterBy::Nodes, user_level::ClusterBy::Walltime]
-                        .into_iter()
-                        .filter_map(|by| user_level::cluster_tightness(d, by, 2).ok())
-                        .collect(),
+                    [
+                        user_level::ClusterBy::Nodes,
+                        user_level::ClusterBy::Walltime,
+                    ]
+                    .into_iter()
+                    .filter_map(|by| user_level::cluster_tightness(d, by, 2).ok())
+                    .collect(),
                 )
             }),
         ),
-        ("prediction", Box::new(|| Part::Prediction(prediction::analyze(d, cfg).ok()))),
+        (
+            "prediction",
+            Box::new(|| Part::Prediction(prediction::analyze(d, cfg).ok())),
+        ),
         (
             "powercap",
             Box::new(|| {
                 Part::Powercap(powercap::analyze(d, &powercap::default_margins(), cfg).ok())
             }),
         ),
-        ("pricing", Box::new(|| Part::Pricing(pricing::analyze(d).ok()))),
+        (
+            "pricing",
+            Box::new(|| Part::Pricing(pricing::analyze(d).ok())),
+        ),
     ];
     let parts: Vec<Part> = tasks
         .into_par_iter()

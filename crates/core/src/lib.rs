@@ -50,8 +50,8 @@ pub mod figures;
 pub mod job_level;
 pub mod json_report;
 pub mod powercap;
-pub mod pricing;
 pub mod prediction;
+pub mod pricing;
 pub mod report;
 pub mod spatial;
 pub mod system_level;

@@ -143,9 +143,8 @@ pub fn analyze(dataset: &TraceDataset, cfg: &PredictionConfig) -> Result<Predict
         ));
     }
     let user_errors: Vec<f64> = bdt.per_user_mean_error.iter().map(|(_, e)| *e).collect();
-    let bdt_user_error_cdf = CdfFigure::from_values(&user_errors, 60).ok_or_else(|| {
-        AnalysisError::InsufficientData("no per-user errors".into())
-    })?;
+    let bdt_user_error_cdf = CdfFigure::from_values(&user_errors, 60)
+        .ok_or_else(|| AnalysisError::InsufficientData("no per-user errors".into()))?;
     Ok(PredictionAnalysis {
         models,
         bdt_user_error_cdf,
@@ -219,7 +218,10 @@ pub struct AblationRow {
 }
 
 /// Runs the feature ablation with the BDT model.
-pub fn feature_ablation(dataset: &TraceDataset, cfg: &PredictionConfig) -> Result<Vec<AblationRow>> {
+pub fn feature_ablation(
+    dataset: &TraceDataset,
+    cfg: &PredictionConfig,
+) -> Result<Vec<AblationRow>> {
     let data = build_ml_dataset(dataset);
     if data.len() < 50 {
         return Err(AnalysisError::InsufficientData("too few jobs".into()));
@@ -335,7 +337,10 @@ mod tests {
         let rows = feature_ablation(&d, &cfg).unwrap();
         assert_eq!(rows.len(), 4);
         let all = rows.iter().find(|r| r.features == FeatureSet::All).unwrap();
-        let no_user = rows.iter().find(|r| r.features == FeatureSet::NoUser).unwrap();
+        let no_user = rows
+            .iter()
+            .find(|r| r.features == FeatureSet::NoUser)
+            .unwrap();
         assert!(
             all.mape <= no_user.mape + 0.01,
             "full features ({}) should be at least as good as no-user ({})",

@@ -53,7 +53,12 @@ fn group(ratios: &[f64], energies: &[f64], node_hours: &[f64], pick: &[bool]) ->
         .filter(|(_, &p)| p)
         .map(|(&r, _)| r)
         .collect();
-    let e: f64 = energies.iter().zip(pick).filter(|(_, &p)| p).map(|(&v, _)| v).sum();
+    let e: f64 = energies
+        .iter()
+        .zip(pick)
+        .filter(|(_, &p)| p)
+        .map(|(&v, _)| v)
+        .sum();
     let nh: f64 = node_hours
         .iter()
         .zip(pick)
@@ -184,7 +189,11 @@ mod tests {
         let p = analyze(&dataset()).unwrap();
         // Node-hours: long 8*10h=80, short 2*100min=3.33; weighted mean
         // is dominated by the long jobs' 160 W.
-        assert!(p.mean_power_w > 150.0 && p.mean_power_w < 160.0, "{}", p.mean_power_w);
+        assert!(
+            p.mean_power_w > 150.0 && p.mean_power_w < 160.0,
+            "{}",
+            p.mean_power_w
+        );
     }
 
     #[test]

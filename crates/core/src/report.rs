@@ -214,7 +214,11 @@ pub fn render_spatial(d: &TraceDataset) -> String {
         .unwrap();
         let rows = spatial::by_app(d, 20);
         if !rows.is_empty() {
-            writeln!(out, "  per application (mean spread W / spread % / imbalance):").unwrap();
+            writeln!(
+                out,
+                "  per application (mean spread W / spread % / imbalance):"
+            )
+            .unwrap();
             for r in rows {
                 writeln!(
                     out,
@@ -324,12 +328,13 @@ pub fn render_prediction(d: &TraceDataset, cfg: &PredictionConfig) -> String {
 pub fn render_powercap(d: &TraceDataset, cfg: &PredictionConfig) -> String {
     let mut out = String::new();
     if let Ok(a) = powercap::analyze(d, &powercap::default_margins(), cfg) {
-        writeln!(out, "## Ext. — Static power-cap what-if ({})", d.system.name).unwrap();
         writeln!(
             out,
-            "  margin | violating jobs | provisioned saving vs TDP"
+            "## Ext. — Static power-cap what-if ({})",
+            d.system.name
         )
         .unwrap();
+        writeln!(out, "  margin | violating jobs | provisioned saving vs TDP").unwrap();
         for o in &a.outcomes {
             writeln!(
                 out,
@@ -354,7 +359,12 @@ pub fn render_powercap(d: &TraceDataset, cfg: &PredictionConfig) -> String {
 pub fn render_pricing(d: &TraceDataset) -> String {
     let mut out = String::new();
     if let Ok(p) = pricing::analyze(d) {
-        writeln!(out, "## Ext. — Node-hour pricing cross-subsidy ({})", d.system.name).unwrap();
+        writeln!(
+            out,
+            "## Ext. — Node-hour pricing cross-subsidy ({})",
+            d.system.name
+        )
+        .unwrap();
         writeln!(
             out,
             "  energy-per-node-hour over the trace: {:.0} Wh (the flat billing rate)",
@@ -504,7 +514,11 @@ pub fn render_full_with(
         Box::new(|| hpcpower_obs::time("report.section.powercap", || render_powercap(d, cfg))),
         Box::new(|| hpcpower_obs::time("report.section.pricing", || render_pricing(d))),
     ];
-    for section in sections.into_par_iter().map(|f| f()).collect::<Vec<String>>() {
+    for section in sections
+        .into_par_iter()
+        .map(|f| f())
+        .collect::<Vec<String>>()
+    {
         out.push_str(&section);
     }
     out
@@ -558,7 +572,10 @@ mod tests {
             "Fig. 15",
             "power-cap",
         ] {
-            assert!(report.contains(needle), "missing section {needle}:\n{report}");
+            assert!(
+                report.contains(needle),
+                "missing section {needle}:\n{report}"
+            );
         }
     }
 

@@ -155,7 +155,11 @@ pub fn metrics_from_series(series: &JobSeries) -> SeriesSpatialMetrics {
     SeriesSpatialMetrics {
         avg_spread_w: avg,
         frac_time_above_avg: above,
-        energy_imbalance: if min_e > 0.0 { (max_e - min_e) / min_e } else { 0.0 },
+        energy_imbalance: if min_e > 0.0 {
+            (max_e - min_e) / min_e
+        } else {
+            0.0
+        },
     }
 }
 

@@ -92,13 +92,23 @@ pub fn analyze(dataset: &TraceDataset) -> SystemAnalysis {
 /// `bucket_min` minutes, y = mean utilization in the bucket.
 pub fn utilization_series(dataset: &TraceDataset, bucket_min: u64) -> Series {
     let nodes = dataset.system.nodes as f64;
-    bucketize(dataset, bucket_min, |s| s.active_nodes as f64 / nodes, "system utilization")
+    bucketize(
+        dataset,
+        bucket_min,
+        |s| s.active_nodes as f64 / nodes,
+        "system utilization",
+    )
 }
 
 /// Downsampled power-utilization series (Fig. 2).
 pub fn power_series(dataset: &TraceDataset, bucket_min: u64) -> Series {
     let max_power = dataset.system.max_system_power_w();
-    bucketize(dataset, bucket_min, |s| s.total_power_w / max_power, "power utilization")
+    bucketize(
+        dataset,
+        bucket_min,
+        |s| s.total_power_w / max_power,
+        "power utilization",
+    )
 }
 
 fn bucketize(
@@ -190,8 +200,9 @@ mod tests {
 
     #[test]
     fn series_downsamples() {
-        let samples: Vec<SystemSample> =
-            (0..100).map(|m| sample(m, (m % 10) as u32, 100.0)).collect();
+        let samples: Vec<SystemSample> = (0..100)
+            .map(|m| sample(m, (m % 10) as u32, 100.0))
+            .collect();
         let d = dataset_with_series(samples);
         let s = utilization_series(&d, 10);
         assert_eq!(s.points.len(), 10);

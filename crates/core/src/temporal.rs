@@ -64,8 +64,7 @@ pub fn analyze(dataset: &TraceDataset) -> Result<TemporalAnalysis> {
     // excursions on a multi-hour job do not constitute a phase.
     let never = above.iter().filter(|&&f| f < 0.02).count() as f64 / n as f64;
     Ok(TemporalAnalysis {
-        overshoot: CdfFigure::from_values(&overshoots, 60)
-            .expect("non-empty by construction"),
+        overshoot: CdfFigure::from_values(&overshoots, 60).expect("non-empty by construction"),
         time_above_10pct: CdfFigure::from_values(&above, 60).expect("non-empty"),
         frac_jobs_never_above: never,
         mean_temporal_cv: cv_sum / n as f64,
@@ -141,8 +140,8 @@ pub fn metrics_from_series(series: &JobSeries) -> SeriesTemporalMetrics {
     let job_power: Vec<f64> = (0..minutes).map(|t| series.job_power_at(t)).collect();
     let mean = job_power.iter().sum::<f64>() / job_power.len() as f64;
     let peak = job_power.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let above = job_power.iter().filter(|&&p| p > mean * 1.10).count() as f64
-        / job_power.len() as f64;
+    let above =
+        job_power.iter().filter(|&&p| p > mean * 1.10).count() as f64 / job_power.len() as f64;
     let var = job_power.iter().map(|p| (p - mean).powi(2)).sum::<f64>()
         / (job_power.len() as f64 - 1.0).max(1.0);
     SeriesTemporalMetrics {
@@ -187,14 +186,8 @@ mod tests {
     #[test]
     fn bursty_series_metrics() {
         // 90 minutes at 100 W, 10 minutes at 130 W.
-        let s = JobSeries::from_fn(JobId(1), 1, 100, |_, t| {
-            if t < 10 {
-                130.0
-            } else {
-                100.0
-            }
-        })
-        .unwrap();
+        let s = JobSeries::from_fn(JobId(1), 1, 100, |_, t| if t < 10 { 130.0 } else { 100.0 })
+            .unwrap();
         let m = metrics_from_series(&s);
         // Mean = 103; peak = 130 -> overshoot ~26%.
         assert!((m.peak_overshoot - (130.0 / 103.0 - 1.0)).abs() < 1e-9);

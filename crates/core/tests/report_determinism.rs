@@ -23,7 +23,10 @@ fn text_report_identical_across_thread_counts() {
     let serial = with_threads(1, || report::render_full(&dataset, &cfg));
     for threads in [2, 4] {
         let parallel = with_threads(threads, || report::render_full(&dataset, &cfg));
-        assert_eq!(serial, parallel, "report text changed with {threads} threads");
+        assert_eq!(
+            serial, parallel,
+            "report text changed with {threads} threads"
+        );
     }
 }
 
@@ -61,9 +64,10 @@ fn telemetry_does_not_change_report_bytes() {
             baseline_text, text,
             "telemetry changed report text at {threads} threads"
         );
-        let json =
-            serde_json::to_string(&with_threads(threads, || json_report::build(&dataset, &cfg)))
-                .expect("serializes");
+        let json = serde_json::to_string(&with_threads(threads, || {
+            json_report::build(&dataset, &cfg)
+        }))
+        .expect("serializes");
         assert_eq!(
             baseline_json, json,
             "telemetry changed JSON report at {threads} threads"
@@ -79,7 +83,9 @@ fn telemetry_does_not_change_report_bytes() {
         "ml.eval.BDT",
         "ml.fit",
     ] {
-        let s = snap.span(span).unwrap_or_else(|| panic!("missing span {span}"));
+        let s = snap
+            .span(span)
+            .unwrap_or_else(|| panic!("missing span {span}"));
         assert!(s.total_ns > 0, "span {span} must have nonzero time");
     }
     // The dataset index was warmed by the disabled baseline render, so
@@ -87,10 +93,7 @@ fn telemetry_does_not_change_report_bytes() {
     assert!(snap.counter("trace.index.hits").unwrap_or(0) > 0);
     let timeline = hpcpower_obs::timeline_snapshot();
     assert!(
-        timeline
-            .events
-            .iter()
-            .any(|e| e.name == "report.render"),
+        timeline.events.iter().any(|e| e.name == "report.render"),
         "timeline must carry the report.render span events"
     );
 }

@@ -39,7 +39,11 @@ fn round_trip_holds_at_all_required_rates() {
             validate(&dirty).is_err(),
             "rate {rate}: injection should break at least one invariant"
         );
-        for policy in [RepairPolicy::DropJob, RepairPolicy::HoldLast, RepairPolicy::Linear] {
+        for policy in [
+            RepairPolicy::DropJob,
+            RepairPolicy::HoldLast,
+            RepairPolicy::Linear,
+        ] {
             let mut repaired = dirty.clone();
             let quality = repair(&mut repaired, &RepairConfig::with_policy(policy));
             assert_eq!(
@@ -64,7 +68,10 @@ fn faulted_csv_exports_are_byte_identical_across_threads() {
         let (jobs_1, system_1) = csv_bytes(&faulted(7, rate, 1));
         let (jobs_4, system_4) = csv_bytes(&faulted(7, rate, 4));
         assert_eq!(jobs_1, jobs_4, "rate {rate}: jobs.csv differs at 4 threads");
-        assert_eq!(system_1, system_4, "rate {rate}: system.csv differs at 4 threads");
+        assert_eq!(
+            system_1, system_4,
+            "rate {rate}: system.csv differs at 4 threads"
+        );
     }
 }
 

@@ -230,7 +230,11 @@ mod tests {
             } else if roll == 4 {
                 100.0 + user as f64
             } else {
-                let by_walltime = if user.is_multiple_of(3) { walltime * 0.2 } else { 0.0 };
+                let by_walltime = if user.is_multiple_of(3) {
+                    walltime * 0.2
+                } else {
+                    0.0
+                };
                 80.0 + 4.0 * user as f64 + 2.0 * nodes + by_walltime + 3.0 * rng.next_normal()
             };
             d.push(user, nodes, walltime, power);
@@ -412,8 +416,7 @@ mod tests {
         });
         let expected_per_split = (d.len() as f64 * 0.25).round() as usize;
         assert!(
-            (report.errors.len() as i64 - (expected_per_split * 4) as i64).abs()
-                < (4 * 25) as i64,
+            (report.errors.len() as i64 - (expected_per_split * 4) as i64).abs() < (4 * 25) as i64,
             "pooled {} vs expected ~{}",
             report.errors.len(),
             expected_per_split * 4

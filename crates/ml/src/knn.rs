@@ -113,8 +113,7 @@ impl TopK {
 
     #[inline]
     fn key_cmp(a: &(f64, u64, u32), b: &(f64, u64, u32)) -> std::cmp::Ordering {
-        a.0
-            .partial_cmp(&b.0)
+        a.0.partial_cmp(&b.0)
             .expect("finite distances")
             .then(a.1.cmp(&b.1))
     }
@@ -138,7 +137,11 @@ impl TopK {
             self.buf.truncate(self.k);
         }
         if self.buf.len() >= self.k {
-            self.bound = self.buf.iter().map(|c| c.0).fold(f64::NEG_INFINITY, f64::max);
+            self.bound = self
+                .buf
+                .iter()
+                .map(|c| c.0)
+                .fold(f64::NEG_INFINITY, f64::max);
         }
     }
 
@@ -208,7 +211,12 @@ impl Knn {
             node_scale: std_scale(&data.features.nodes),
             walltime_scale: std_scale(&data.features.walltimes),
             user_scale: std_scale(
-                &data.features.users.iter().map(|&u| u as f64).collect::<Vec<f64>>(),
+                &data
+                    .features
+                    .users
+                    .iter()
+                    .map(|&u| u as f64)
+                    .collect::<Vec<f64>>(),
             ),
             user_index: buckets.into_iter().collect(),
             config,
@@ -251,13 +259,16 @@ impl Knn {
         if let Some(own) = self.user_bucket(user) {
             scanned += own.len() as u64;
             for &i in own {
-                top.push(self.numeric_dist2(i as usize, nodes, walltime), TIE_OWN | i as u64, i);
+                top.push(
+                    self.numeric_dist2(i as usize, nodes, walltime),
+                    TIE_OWN | i as u64,
+                    i,
+                );
             }
         }
         // If the user's own history already yields k neighbours closer
         // than any possible cross-user point, stop early.
-        let need_global =
-            !top.has_k() || top.worst_d2() > self.config.user_mismatch_penalty;
+        let need_global = !top.has_k() || top.worst_d2() > self.config.user_mismatch_penalty;
         if need_global {
             for (uid, bucket) in &self.user_index {
                 if *uid == user {
@@ -308,8 +319,7 @@ impl Knn {
         let mut left = pos; // next left bucket is `left - 1`
         let mut right = pos; // next right bucket is `right`
         loop {
-            let left_du = (left > 0)
-                .then(|| user as f64 - self.user_index[left - 1].0 as f64);
+            let left_du = (left > 0).then(|| user as f64 - self.user_index[left - 1].0 as f64);
             let right_du = (right < self.user_index.len())
                 .then(|| self.user_index[right].0 as f64 - user as f64);
             match (left_du, right_du) {
@@ -513,8 +523,7 @@ mod tests {
                 if knn.users[i] == user {
                     continue;
                 }
-                let d2 =
-                    knn.numeric_dist2(i, nodes, walltime) + knn.config.user_mismatch_penalty;
+                let d2 = knn.numeric_dist2(i, nodes, walltime) + knn.config.user_mismatch_penalty;
                 push(d2, i, &mut best);
             }
         }
@@ -525,7 +534,10 @@ mod tests {
     struct Lcg(u64);
     impl Lcg {
         fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             self.0 >> 11
         }
         fn uniform(&mut self) -> f64 {
@@ -575,7 +587,10 @@ mod tests {
                         let brute = brute_force_neighbours(&knn, user, nodes, walltime);
                         assert_eq!(fast.len(), brute.len(), "seed {seed} k {k}");
                         for (a, b) in fast.iter().zip(&brute) {
-                            assert_eq!(a.1, b.1, "index: seed {seed} numeric {numeric_user} k {k} user {user}");
+                            assert_eq!(
+                                a.1, b.1,
+                                "index: seed {seed} numeric {numeric_user} k {k} user {user}"
+                            );
                             assert_eq!(
                                 a.0.to_bits(),
                                 b.0.to_bits(),

@@ -59,11 +59,7 @@ impl Matrix {
     pub fn mat_vec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.cols);
         (0..self.rows)
-            .map(|i| {
-                (0..self.cols)
-                    .map(|j| self[(i, j)] * v[j])
-                    .sum()
-            })
+            .map(|i| (0..self.cols).map(|j| self[(i, j)] * v[j]).sum())
             .collect()
     }
 
@@ -222,11 +218,7 @@ mod tests {
 
     #[test]
     fn solve_verifies_by_multiplication() {
-        let m = Matrix::from_rows(&[
-            &[4.0, 1.0, 0.5],
-            &[1.0, 3.0, 1.0],
-            &[0.5, 1.0, 5.0],
-        ]);
+        let m = Matrix::from_rows(&[&[4.0, 1.0, 0.5], &[1.0, 3.0, 1.0], &[0.5, 1.0, 5.0]]);
         let b = [7.0, -2.0, 11.0];
         let x = m.solve(&b).unwrap();
         let back = m.mat_vec(&x);

@@ -264,11 +264,7 @@ impl<'a> Builder<'a> {
             }
             let gain = parent_sse
                 - sse(left_sum, left_sum2, left_n as f64)
-                - sse(
-                    total_sum - left_sum,
-                    total_sum2 - left_sum2,
-                    right_n as f64,
-                );
+                - sse(total_sum - left_sum, total_sum2 - left_sum2, right_n as f64);
             if gain > best_gain {
                 best_gain = gain;
                 best_cut = k + 1;
@@ -393,8 +389,7 @@ impl DecisionTree {
         fn walk(nodes: &[Node], i: u32) -> usize {
             match &nodes[i as usize] {
                 Node::Leaf { .. } => 1,
-                Node::NumericSplit { left, right, .. }
-                | Node::UserSplit { left, right, .. } => {
+                Node::NumericSplit { left, right, .. } | Node::UserSplit { left, right, .. } => {
                     1 + walk(nodes, *left).max(walk(nodes, *right))
                 }
             }
@@ -560,7 +555,9 @@ mod oracle {
             let mut groups: BTreeMap<u32, (f64, f64, usize)> = BTreeMap::new();
             for &i in indices {
                 let t = self.target(i);
-                let e = groups.entry(self.data.features.users[i]).or_insert((0.0, 0.0, 0));
+                let e = groups
+                    .entry(self.data.features.users[i])
+                    .or_insert((0.0, 0.0, 0));
                 e.0 += t;
                 e.1 += t * t;
                 e.2 += 1;
@@ -598,19 +595,14 @@ mod oracle {
                 }
                 let gain = parent_sse
                     - sse(left_sum, left_sum2, left_n as f64)
-                    - sse(
-                        total_sum - left_sum,
-                        total_sum2 - left_sum2,
-                        right_n as f64,
-                    );
+                    - sse(total_sum - left_sum, total_sum2 - left_sum2, right_n as f64);
                 if gain > best_gain {
                     best_gain = gain;
                     best_cut = k + 1;
                 }
             }
             if best_gain.is_finite() && best_gain > 0.0 {
-                let left_users: HashSet<u32> =
-                    ordered[..best_cut].iter().map(|g| g.0).collect();
+                let left_users: HashSet<u32> = ordered[..best_cut].iter().map(|g| g.0).collect();
                 Some(BestSplit {
                     gain: best_gain,
                     kind: SplitKind::User { left_users },
@@ -710,12 +702,15 @@ mod tests {
             let nodes = [1.0, 2.0, 4.0, 8.0, 32.0][((user as u64 + template) % 5) as usize];
             let walltime = (15 * (1 + (user as u64 * 7 + template * 13) % 6)
                 + rng.next_bounded(jitter)) as f64;
-            let power = if user == 2 || user == 9 || (user.is_multiple_of(4) && rng.next_bounded(3) == 0) {
-                210.0
-            } else {
-                90.0 + 9.0 * (user % 5) as f64 + 3.0 * nodes + walltime / 60.0
-                    + 4.0 * rng.next_normal()
-            };
+            let power =
+                if user == 2 || user == 9 || (user.is_multiple_of(4) && rng.next_bounded(3) == 0) {
+                    210.0
+                } else {
+                    90.0 + 9.0 * (user % 5) as f64
+                        + 3.0 * nodes
+                        + walltime / 60.0
+                        + 4.0 * rng.next_normal()
+                };
             d.push(user * 37 + 5, nodes, walltime, power);
         }
         d
@@ -820,7 +815,16 @@ mod tests {
     /// takes them in user-id order whatever order their rows come in.
     #[test]
     fn equal_mean_users_are_scanned_in_user_id_order() {
-        for (a, b) in [(3, 5), (5, 3), (1, 40), (40, 1), (7, 8), (8, 7), (100, 6), (6, 100)] {
+        for (a, b) in [
+            (3, 5),
+            (5, 3),
+            (1, 40),
+            (40, 1),
+            (7, 8),
+            (8, 7),
+            (100, 6),
+            (6, 100),
+        ] {
             for rows_of_b_first in [false, true] {
                 let mut blocks = [(a, 210.0, 5), (b, 210.0, 3), (50, 100.0, 1)];
                 if rows_of_b_first {

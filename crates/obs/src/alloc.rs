@@ -395,10 +395,16 @@ mod tests {
         let snap = snapshot();
         assert_eq!(
             snap.slot_path(b),
-            vec!["alloc.unit.outer".to_string(), "alloc.unit.inner".to_string()]
+            vec![
+                "alloc.unit.outer".to_string(),
+                "alloc.unit.inner".to_string()
+            ]
         );
         assert_eq!(snap.slot_path(ROOT_SLOT), Vec::<String>::new());
-        assert_eq!(snap.slot_path(OVERFLOW_SLOT), vec!["(overflow)".to_string()]);
+        assert_eq!(
+            snap.slot_path(OVERFLOW_SLOT),
+            vec!["(overflow)".to_string()]
+        );
     }
 
     #[test]

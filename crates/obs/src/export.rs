@@ -46,9 +46,7 @@ pub fn chrome_trace(snap: &TimelineSnapshot) -> String {
                     let (begin_idx, _) = stack.pop().expect("checked non-empty");
                     keep[begin_idx] = true;
                     keep[i] = true;
-                } else if let Some(pos) =
-                    stack.iter().rposition(|&(_, id)| id == ev.span_id)
-                {
+                } else if let Some(pos) = stack.iter().rposition(|&(_, id)| id == ev.span_id) {
                     // A guard moved across threads closed out of LIFO
                     // order; everything it skips over stays unmatched
                     // only if its own End never arrives.
@@ -146,7 +144,11 @@ pub fn prometheus(snap: &Snapshot) -> String {
     let mut out = String::new();
     for (name, v) in &snap.counters {
         let pname = format!("{}_total", sanitize_metric_name(name));
-        let _ = writeln!(out, "# HELP {pname} Monotonic counter {}", escape_help(name));
+        let _ = writeln!(
+            out,
+            "# HELP {pname} Monotonic counter {}",
+            escape_help(name)
+        );
         let _ = writeln!(out, "# TYPE {pname} counter");
         let _ = writeln!(out, "{pname} {v}");
     }
@@ -178,11 +180,7 @@ pub fn prometheus(snap: &Snapshot) -> String {
         let _ = writeln!(out, "# HELP {pname} Span duration {}", escape_help(name));
         let _ = writeln!(out, "# TYPE {pname} summary");
         for (q, v_ns) in [(0.5, s.p50_ns), (0.9, s.p90_ns), (0.99, s.p99_ns)] {
-            let _ = writeln!(
-                out,
-                "{pname}{{quantile=\"{q}\"}} {}",
-                prom_f64(v_ns / 1e9)
-            );
+            let _ = writeln!(out, "{pname}{{quantile=\"{q}\"}} {}", prom_f64(v_ns / 1e9));
         }
         let _ = writeln!(out, "{pname}_sum {}", prom_f64(s.total_secs()));
         let _ = writeln!(out, "{pname}_count {}", s.count);
@@ -238,7 +236,9 @@ fn parse_sample(line: &str, lineno: usize) -> Result<PromSample, String> {
     let err = |msg: &str| format!("line {lineno}: {msg}: {line:?}");
     let (name, labels_str, value_str) = match line.find('{') {
         Some(brace) => {
-            let close = line.rfind('}').ok_or_else(|| err("unterminated label set"))?;
+            let close = line
+                .rfind('}')
+                .ok_or_else(|| err("unterminated label set"))?;
             if close < brace {
                 return Err(err("mismatched braces"));
             }

@@ -226,11 +226,7 @@ impl ProfileGraph {
                 None => &self.roots,
                 Some(n) => &self.nodes[n].children,
             };
-            cur = Some(
-                *children
-                    .iter()
-                    .find(|&&c| self.nodes[c].name == *name)?,
-            );
+            cur = Some(*children.iter().find(|&&c| self.nodes[c].name == *name)?);
         }
         cur
     }
@@ -244,12 +240,7 @@ impl ProfileGraph {
     /// of each node. The traversal every exporter shares.
     fn dfs(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::with_capacity(self.nodes.len());
-        let mut todo: Vec<(usize, usize)> = self
-            .roots
-            .iter()
-            .rev()
-            .map(|&r| (r, 0))
-            .collect();
+        let mut todo: Vec<(usize, usize)> = self.roots.iter().rev().map(|&r| (r, 0)).collect();
         while let Some((n, depth)) = todo.pop() {
             out.push((n, depth));
             for &c in self.nodes[n].children.iter().rev() {
@@ -282,11 +273,7 @@ impl ProfileGraph {
             if node.self_ns == 0 {
                 continue;
             }
-            let path: Vec<String> = self
-                .path_of(n)
-                .iter()
-                .map(|s| sanitize_frame(s))
-                .collect();
+            let path: Vec<String> = self.path_of(n).iter().map(|s| sanitize_frame(s)).collect();
             let _ = writeln!(out, "{} {}", path.join(";"), node.self_ns);
         }
         out
@@ -341,8 +328,20 @@ impl ProfileGraph {
         }
         out.push_str("\n]},\n\"profiles\": [\n");
         for (i, (pname, unit, total, samples, weights)) in [
-            ("wall time", "nanoseconds", wall_total, &wall_samples, &wall_weights),
-            ("allocated bytes", "bytes", alloc_total, &alloc_samples, &alloc_weights),
+            (
+                "wall time",
+                "nanoseconds",
+                wall_total,
+                &wall_samples,
+                &wall_weights,
+            ),
+            (
+                "allocated bytes",
+                "bytes",
+                alloc_total,
+                &alloc_samples,
+                &alloc_weights,
+            ),
         ]
         .iter()
         .enumerate()
@@ -370,7 +369,12 @@ impl ProfileGraph {
         const MARGIN: f64 = 6.0;
         const ROW_H: f64 = 17.0;
         const HEADER_H: f64 = 26.0;
-        let max_depth = self.dfs().iter().map(|&(_, d)| d).max().map_or(0, |d| d + 1);
+        let max_depth = self
+            .dfs()
+            .iter()
+            .map(|&(_, d)| d)
+            .max()
+            .map_or(0, |d| d + 1);
         let height = HEADER_H + max_depth as f64 * ROW_H + MARGIN * 2.0;
         let usable = WIDTH - MARGIN * 2.0;
         let px_per_ns = if self.total_ns > 0 {
@@ -437,7 +441,11 @@ impl ProfileGraph {
                 fmt_ns(node.total_ns),
                 fmt_ns(node.self_ns),
                 if node.alloc_bytes > 0 {
-                    format!(", alloc {} in {} allocation(s)", fmt_bytes(node.alloc_bytes), node.alloc_count)
+                    format!(
+                        ", alloc {} in {} allocation(s)",
+                        fmt_bytes(node.alloc_bytes),
+                        node.alloc_count
+                    )
                 } else {
                     String::new()
                 },
@@ -447,7 +455,11 @@ impl ProfileGraph {
                 if w >= 28.0 {
                     let fit = ((w - 6.0) / 6.7) as usize;
                     let label: String = if node.name.len() > fit {
-                        node.name.chars().take(fit.saturating_sub(2)).collect::<String>() + ".."
+                        node.name
+                            .chars()
+                            .take(fit.saturating_sub(2))
+                            .collect::<String>()
+                            + ".."
                     } else {
                         node.name.clone()
                     };
@@ -680,7 +692,10 @@ impl FlatProfile {
                 .map_err(|_| format!("folded line {}: bad value {value_str:?}", i + 1))?;
             let stack: Vec<String> = stack_str.split(';').map(str::to_string).collect();
             if stack.iter().any(String::is_empty) {
-                return Err(format!("folded line {}: empty frame in {stack_str:?}", i + 1));
+                return Err(format!(
+                    "folded line {}: empty frame in {stack_str:?}",
+                    i + 1
+                ));
             }
             out.push_merged(stack, value, 0);
         }
@@ -719,7 +734,9 @@ impl FlatProfile {
             let p = profile
                 .as_object()
                 .ok_or("speedscope document: profile is not an object")?;
-            let unit = serde_json::find(p, "unit").and_then(|u| u.as_str()).unwrap_or("");
+            let unit = serde_json::find(p, "unit")
+                .and_then(|u| u.as_str())
+                .unwrap_or("");
             let is_bytes = unit == "bytes";
             let samples = serde_json::find(p, "samples")
                 .and_then(|s| s.as_array())
@@ -739,7 +756,9 @@ impl FlatProfile {
                     .map(|v| {
                         v.as_u64()
                             .and_then(|i| frame_names.get(i as usize).cloned())
-                            .ok_or("speedscope document: sample frame index out of range".to_string())
+                            .ok_or(
+                                "speedscope document: sample frame index out of range".to_string(),
+                            )
                     })
                     .collect::<Result<_, _>>()?;
                 let w = weight
@@ -782,7 +801,10 @@ mod tests {
 
     #[test]
     fn profile_format_parses_and_infers() {
-        assert_eq!("folded".parse::<ProfileFormat>().unwrap(), ProfileFormat::Folded);
+        assert_eq!(
+            "folded".parse::<ProfileFormat>().unwrap(),
+            ProfileFormat::Folded
+        );
         assert_eq!("svg".parse::<ProfileFormat>().unwrap(), ProfileFormat::Svg);
         assert_eq!(
             "speedscope".parse::<ProfileFormat>().unwrap(),

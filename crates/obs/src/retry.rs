@@ -137,7 +137,10 @@ mod tests {
         let calls = AtomicU32::new(0);
         let out = retry_io(&fast(), 7, |_| {
             if calls.fetch_add(1, Ordering::Relaxed) < 2 {
-                Err(io::Error::new(io::ErrorKind::ConnectionRefused, "not up yet"))
+                Err(io::Error::new(
+                    io::ErrorKind::ConnectionRefused,
+                    "not up yet",
+                ))
             } else {
                 Ok(42)
             }
@@ -154,7 +157,11 @@ mod tests {
             Err(io::Error::new(io::ErrorKind::PermissionDenied, "no"))
         });
         assert_eq!(out.unwrap_err().kind(), io::ErrorKind::PermissionDenied);
-        assert_eq!(calls.load(Ordering::Relaxed), 1, "no retry on permanent errors");
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            1,
+            "no retry on permanent errors"
+        );
     }
 
     #[test]
@@ -175,10 +182,7 @@ mod tests {
             let a = p.delay(attempt, 99);
             let b = p.delay(attempt, 99);
             assert_eq!(a, b, "same salt and attempt must give the same delay");
-            let ceiling = p
-                .base_delay
-                .saturating_mul(1 << attempt)
-                .min(p.max_delay);
+            let ceiling = p.base_delay.saturating_mul(1 << attempt).min(p.max_delay);
             assert!(a <= ceiling, "attempt {attempt}: {a:?} > {ceiling:?}");
             assert!(
                 a >= ceiling.mul_f64(1.0 - p.jitter),
@@ -187,7 +191,10 @@ mod tests {
         }
         // Different salts spread delays apart (not all equal).
         let spread: Vec<Duration> = (0..8).map(|s| p.delay(3, s)).collect();
-        assert!(spread.iter().any(|d| *d != spread[0]), "jitter never varies");
+        assert!(
+            spread.iter().any(|d| *d != spread[0]),
+            "jitter never varies"
+        );
     }
 
     #[test]

@@ -88,8 +88,14 @@ mod tests {
 
     #[test]
     fn metrics_format_parses_both_spellings() {
-        assert_eq!("json".parse::<MetricsFormat>().unwrap(), MetricsFormat::Json);
-        assert_eq!("prom".parse::<MetricsFormat>().unwrap(), MetricsFormat::Prom);
+        assert_eq!(
+            "json".parse::<MetricsFormat>().unwrap(),
+            MetricsFormat::Json
+        );
+        assert_eq!(
+            "prom".parse::<MetricsFormat>().unwrap(),
+            MetricsFormat::Prom
+        );
         assert_eq!(
             "prometheus".parse::<MetricsFormat>().unwrap(),
             MetricsFormat::Prom

@@ -168,7 +168,10 @@ impl Snapshot {
     /// name-sorted — used to inject derived counters like the
     /// `obs.alloc.*` totals, which live outside the registry.
     pub fn set_counter(&mut self, name: &str, value: u64) {
-        match self.counters.binary_search_by(|(k, _)| k.as_str().cmp(name)) {
+        match self
+            .counters
+            .binary_search_by(|(k, _)| k.as_str().cmp(name))
+        {
             Ok(i) => self.counters[i].1 = value,
             Err(i) => self.counters.insert(i, (name.to_string(), value)),
         }
@@ -301,7 +304,12 @@ impl Snapshot {
         out.push_str("\n  },\n  \"gauges\": {");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{}\": {}", escape_json(name), json_f64(*v));
+            let _ = write!(
+                out,
+                "{sep}\n    \"{}\": {}",
+                escape_json(name),
+                json_f64(*v)
+            );
         }
         out.push_str("\n  },\n  \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
@@ -353,7 +361,11 @@ fn histogram_fields(h: &HistogramSnapshot) -> String {
     let mut buckets = String::from("[");
     for (i, (bound, count)) in h.buckets.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
-        let _ = write!(buckets, "{sep}{{\"le\":{},\"count\":{count}}}", json_f64(*bound));
+        let _ = write!(
+            buckets,
+            "{sep}{{\"le\":{},\"count\":{count}}}",
+            json_f64(*bound)
+        );
     }
     buckets.push(']');
     format!(
@@ -408,7 +420,14 @@ mod tests {
     #[test]
     fn text_rendering_mentions_every_metric() {
         let text = sample_registry().snapshot().render_text();
-        for needle in ["a.counter", "z.gauge", "h.hist", "stage.one", "stage.two", "p99"] {
+        for needle in [
+            "a.counter",
+            "z.gauge",
+            "h.hist",
+            "stage.one",
+            "stage.two",
+            "p99",
+        ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
     }

@@ -139,7 +139,9 @@ impl Timeline {
         let per_shard = (capacity / SHARDS).max(1);
         Self {
             enabled: std::sync::atomic::AtomicBool::new(false),
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::new(per_shard))).collect(),
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(Shard::new(per_shard)))
+                .collect(),
             next_seq: AtomicU64::new(0),
         }
     }
@@ -274,9 +276,10 @@ mod tests {
         let inner = record_span(&t, "inner", Some(outer));
         let snap = t.snapshot();
         assert_eq!(snap.events.len(), 4);
-        assert!(snap.events.windows(2).all(|w| {
-            (w[0].ts_ns, w[0].seq) <= (w[1].ts_ns, w[1].seq)
-        }));
+        assert!(snap
+            .events
+            .windows(2)
+            .all(|w| { (w[0].ts_ns, w[0].seq) <= (w[1].ts_ns, w[1].seq) }));
         let begin_inner = snap
             .events
             .iter()

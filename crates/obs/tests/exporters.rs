@@ -62,22 +62,28 @@ fn chrome_trace_round_trips_and_balances() {
     let mut last_ts = f64::NEG_INFINITY;
     for ev in events {
         let ev = ev.as_object().expect("event is an object");
-        let name = serde_json::find(ev, "name").and_then(Value::as_str).unwrap();
+        let name = serde_json::find(ev, "name")
+            .and_then(Value::as_str)
+            .unwrap();
         let ph = serde_json::find(ev, "ph").and_then(Value::as_str).unwrap();
         let tid = serde_json::find(ev, "tid").and_then(Value::as_u64).unwrap();
         let ts = serde_json::find(ev, "ts").and_then(Value::as_f64).unwrap();
         assert_eq!(serde_json::find(ev, "pid").and_then(Value::as_u64), Some(1));
         assert!(ts >= last_ts, "events must be in timestamp order");
         last_ts = ts;
-        let args = serde_json::find(ev, "args").and_then(Value::as_object).unwrap();
-        assert!(serde_json::find(args, "span_id").and_then(Value::as_u64).is_some());
+        let args = serde_json::find(ev, "args")
+            .and_then(Value::as_object)
+            .unwrap();
+        assert!(serde_json::find(args, "span_id")
+            .and_then(Value::as_u64)
+            .is_some());
         let stack = stacks.entry(tid).or_default();
         match ph {
             "B" => stack.push(name.to_string()),
             "E" => {
-                let open = stack.pop().unwrap_or_else(|| {
-                    panic!("E {name:?} on tid {tid} with no open B")
-                });
+                let open = stack
+                    .pop()
+                    .unwrap_or_else(|| panic!("E {name:?} on tid {tid} with no open B"));
                 assert_eq!(open, name, "E must close the innermost B on its tid");
             }
             other => panic!("unexpected phase {other:?}"),
@@ -87,7 +93,9 @@ fn chrome_trace_round_trips_and_balances() {
         assert!(stack.is_empty(), "tid {tid} left spans open: {stack:?}");
     }
     // The nested pair must live on one tid and nest properly.
-    let metadata = serde_json::find(root, "metadata").and_then(Value::as_object).unwrap();
+    let metadata = serde_json::find(root, "metadata")
+        .and_then(Value::as_object)
+        .unwrap();
     assert_eq!(
         serde_json::find(metadata, "events_dropped").and_then(Value::as_u64),
         Some(0)
@@ -127,11 +135,21 @@ fn chrome_trace_sanitizes_unmatched_events_from_ring_wrap() {
     let text = chrome_trace(&snap);
     let doc = serde_json::parse(&text).expect("valid JSON");
     let root = doc.as_object().unwrap();
-    let events = serde_json::find(root, "traceEvents").and_then(Value::as_array).unwrap();
+    let events = serde_json::find(root, "traceEvents")
+        .and_then(Value::as_array)
+        .unwrap();
     assert_eq!(events.len(), 2, "only the matched pair survives");
-    let metadata = serde_json::find(root, "metadata").and_then(Value::as_object).unwrap();
-    assert_eq!(serde_json::find(metadata, "events_dropped").and_then(Value::as_u64), Some(3));
-    assert_eq!(serde_json::find(metadata, "events_unmatched").and_then(Value::as_u64), Some(1));
+    let metadata = serde_json::find(root, "metadata")
+        .and_then(Value::as_object)
+        .unwrap();
+    assert_eq!(
+        serde_json::find(metadata, "events_dropped").and_then(Value::as_u64),
+        Some(3)
+    );
+    assert_eq!(
+        serde_json::find(metadata, "events_unmatched").and_then(Value::as_u64),
+        Some(1)
+    );
 }
 
 /// Names with JSON-hostile characters must be escaped, not emitted raw.
@@ -168,7 +186,12 @@ fn chrome_trace_balances_deeply_nested_spans_after_ring_wrap() {
         let mut ids: Vec<u64> = Vec::with_capacity(depth);
         for d in 0..depth {
             let id = next_span_id();
-            t.record(EventKind::Begin, &format!("deep.d{d}"), id, ids.last().copied());
+            t.record(
+                EventKind::Begin,
+                &format!("deep.d{d}"),
+                id,
+                ids.last().copied(),
+            );
             ids.push(id);
         }
         for d in (0..depth).rev() {
@@ -193,15 +216,22 @@ fn chrome_trace_balances_deeply_nested_spans_after_ring_wrap() {
     let snap = t.snapshot();
     assert!(snap.dropped > 0, "the ring must actually have wrapped");
     let tids: std::collections::BTreeSet<u64> = snap.events.iter().map(|e| e.tid).collect();
-    assert!(tids.len() >= 2, "events must span multiple shards, got {tids:?}");
+    assert!(
+        tids.len() >= 2,
+        "events must span multiple shards, got {tids:?}"
+    );
 
     let doc = serde_json::parse(&chrome_trace(&snap)).expect("valid JSON after wrap");
     let root = doc.as_object().unwrap();
-    let events = serde_json::find(root, "traceEvents").and_then(Value::as_array).unwrap();
+    let events = serde_json::find(root, "traceEvents")
+        .and_then(Value::as_array)
+        .unwrap();
     let mut stacks: std::collections::BTreeMap<u64, Vec<String>> = Default::default();
     for ev in events {
         let ev = ev.as_object().unwrap();
-        let name = serde_json::find(ev, "name").and_then(Value::as_str).unwrap();
+        let name = serde_json::find(ev, "name")
+            .and_then(Value::as_str)
+            .unwrap();
         let tid = serde_json::find(ev, "tid").and_then(Value::as_u64).unwrap();
         match serde_json::find(ev, "ph").and_then(Value::as_str).unwrap() {
             "B" => stacks.entry(tid).or_default().push(name.to_string()),
@@ -215,9 +245,16 @@ fn chrome_trace_balances_deeply_nested_spans_after_ring_wrap() {
     for (tid, stack) in &stacks {
         assert!(stack.is_empty(), "tid {tid} left spans open: {stack:?}");
     }
-    let metadata = serde_json::find(root, "metadata").and_then(Value::as_object).unwrap();
-    let unmatched = serde_json::find(metadata, "events_unmatched").and_then(Value::as_u64).unwrap();
-    assert!(unmatched > 0, "wrap must orphan some events in this workload");
+    let metadata = serde_json::find(root, "metadata")
+        .and_then(Value::as_object)
+        .unwrap();
+    let unmatched = serde_json::find(metadata, "events_unmatched")
+        .and_then(Value::as_u64)
+        .unwrap();
+    assert!(
+        unmatched > 0,
+        "wrap must orphan some events in this workload"
+    );
 }
 
 /// Without wrap, a complete depth-5 multi-thread timeline must replay
@@ -235,7 +272,12 @@ fn chrome_trace_preserves_full_nesting_depth_across_threads() {
                 let mut ids: Vec<u64> = Vec::new();
                 for d in 0..5 {
                     let id = next_span_id();
-                    t.record(EventKind::Begin, &format!("deep.d{d}"), id, ids.last().copied());
+                    t.record(
+                        EventKind::Begin,
+                        &format!("deep.d{d}"),
+                        id,
+                        ids.last().copied(),
+                    );
                     ids.push(id);
                 }
                 for d in (0..5).rev() {
@@ -249,7 +291,9 @@ fn chrome_trace_preserves_full_nesting_depth_across_threads() {
     assert_eq!(snap.dropped, 0);
     let doc = serde_json::parse(&chrome_trace(&snap)).expect("valid JSON");
     let root = doc.as_object().unwrap();
-    let events = serde_json::find(root, "traceEvents").and_then(Value::as_array).unwrap();
+    let events = serde_json::find(root, "traceEvents")
+        .and_then(Value::as_array)
+        .unwrap();
     assert_eq!(events.len(), 4 * 2 * 5, "every event survives");
     let mut depth: std::collections::BTreeMap<u64, (usize, usize)> = Default::default();
     for ev in events {
@@ -271,7 +315,9 @@ fn chrome_trace_preserves_full_nesting_depth_across_threads() {
     }
     assert_eq!(
         serde_json::find(
-            serde_json::find(root, "metadata").and_then(Value::as_object).unwrap(),
+            serde_json::find(root, "metadata")
+                .and_then(Value::as_object)
+                .unwrap(),
             "events_unmatched"
         )
         .and_then(Value::as_u64),
@@ -326,7 +372,10 @@ fn sanitizer_maps_names_into_the_prometheus_charset() {
 #[test]
 fn linter_rejects_bad_metric_name() {
     let text = "# TYPE bad-name counter\nbad-name 1\n";
-    assert!(lint_prometheus(text).is_err(), "dash in a metric name must fail");
+    assert!(
+        lint_prometheus(text).is_err(),
+        "dash in a metric name must fail"
+    );
 }
 
 #[test]
@@ -359,7 +408,10 @@ h_bucket{le=\"+Inf\"} 4
 h_sum 12
 h_count 4
 ";
-    assert!(lint_prometheus(text).is_err(), "bucket counts must be cumulative");
+    assert!(
+        lint_prometheus(text).is_err(),
+        "bucket counts must be cumulative"
+    );
 }
 
 #[test]
@@ -371,7 +423,10 @@ h_bucket{le=\"+Inf\"} 3
 h_sum 12
 h_count 7
 ";
-    assert!(lint_prometheus(text).is_err(), "_count must equal the +Inf bucket");
+    assert!(
+        lint_prometheus(text).is_err(),
+        "_count must equal the +Inf bucket"
+    );
 }
 
 #[test]
@@ -392,7 +447,10 @@ s{quantile=\"1.5\"} 3
 s_sum 9
 s_count 3
 ";
-    assert!(lint_prometheus(text).is_err(), "quantile label must be in [0, 1]");
+    assert!(
+        lint_prometheus(text).is_err(),
+        "quantile label must be in [0, 1]"
+    );
 }
 
 #[test]
@@ -400,13 +458,19 @@ fn linter_rejects_unescaped_quote_in_label_value() {
     // The raw quote ends the value early, leaving `y"` as garbage.
     let text = "# TYPE m gauge\nm{a=\"x\"y\"} 1\n";
     let err = lint_prometheus(text).unwrap_err();
-    assert!(err.contains("label"), "error should blame the label set: {err}");
+    assert!(
+        err.contains("label"),
+        "error should blame the label set: {err}"
+    );
 }
 
 #[test]
 fn linter_rejects_unterminated_label_value() {
     let text = "# TYPE m gauge\nm{a=\"x} 1\n";
-    assert!(lint_prometheus(text).is_err(), "missing closing quote must fail");
+    assert!(
+        lint_prometheus(text).is_err(),
+        "missing closing quote must fail"
+    );
 }
 
 #[test]
@@ -447,7 +511,9 @@ fn prometheus_exports_profiler_meta_metrics() {
     // HELP comments echo the original dotted name; the sample lines
     // themselves must be fully sanitized.
     assert!(
-        text.lines().filter(|l| !l.starts_with('#')).all(|l| !l.contains("obs.")),
+        text.lines()
+            .filter(|l| !l.starts_with('#'))
+            .all(|l| !l.contains("obs.")),
         "dots must not survive sanitization in sample lines:\n{text}"
     );
 }
@@ -457,7 +523,10 @@ fn prometheus_exports_profiler_meta_metrics() {
 #[test]
 fn linter_rejects_dotted_profiler_metric_names() {
     let text = "# TYPE obs.alloc.peak_bytes gauge\nobs.alloc.peak_bytes 1\n";
-    assert!(lint_prometheus(text).is_err(), "dotted name must fail the charset check");
+    assert!(
+        lint_prometheus(text).is_err(),
+        "dotted name must fail the charset check"
+    );
 }
 
 /// HELP text escaping: backslashes and newlines in metric names —

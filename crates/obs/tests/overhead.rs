@@ -71,8 +71,11 @@ fn disabled_instrumentation_is_nearly_free() {
         "disabled overhead: noop {noop:.2} ns/op, counter {counter:.2}, \
          span {span:.2}, histogram {histogram:.2}"
     );
-    for (what, cost) in [("counter_add", counter), ("span!", span), ("histogram_record", histogram)]
-    {
+    for (what, cost) in [
+        ("counter_add", counter),
+        ("span!", span),
+        ("histogram_record", histogram),
+    ] {
         let ratio = cost / noop;
         assert!(
             ratio <= MAX_RATIO,

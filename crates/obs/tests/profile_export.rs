@@ -179,7 +179,10 @@ fn speedscope_export_is_deterministic_and_round_trips() {
     assert_eq!(graph.to_speedscope(), doc, "deterministic bytes");
     let v = serde_json::parse(&doc).expect("speedscope export is valid JSON");
     let top = v.as_object().unwrap();
-    let profiles = serde_json::find(top, "profiles").unwrap().as_array().unwrap();
+    let profiles = serde_json::find(top, "profiles")
+        .unwrap()
+        .as_array()
+        .unwrap();
     assert_eq!(profiles.len(), 2, "wall time + allocated bytes");
     let parsed = FlatProfile::from_speedscope(&doc).unwrap();
     assert_eq!(parsed.total_ns(), 100);

@@ -297,12 +297,7 @@ mod tests {
                 assert!(p.job_jitter_sigma >= 0.0 && p.job_jitter_sigma < 0.5);
                 assert!(p.imbalance_sigma >= 0.0 && p.imbalance_sigma < 0.2);
                 let b = &p.burst;
-                for v in [
-                    b.spike_prob,
-                    b.spike_frac,
-                    b.dip_prob,
-                    b.dip_frac,
-                ] {
+                for v in [b.spike_prob, b.spike_frac, b.dip_prob, b.dip_frac] {
                     assert!((0.0..=1.0).contains(&v));
                 }
                 assert!(b.spike_amp >= 0.0 && b.spike_amp < 0.5);

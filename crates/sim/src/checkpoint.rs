@@ -54,7 +54,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use hpcpower_trace::recover::{self, ArtifactState, Fs};
-use hpcpower_trace::{JobPowerSummary, JobId, JobSeries};
+use hpcpower_trace::{JobId, JobPowerSummary, JobSeries};
 
 use crate::cluster::{ClusterSim, SimOutput};
 use crate::config::SimConfig;
@@ -192,7 +192,9 @@ fn same_workload(a: &SimConfig, b: &SimConfig) -> bool {
 }
 
 fn chunk_path(run_dir: &Path, chunk: u64) -> PathBuf {
-    run_dir.join(CHUNKS_DIR).join(format!("chunk-{chunk:06}.bin"))
+    run_dir
+        .join(CHUNKS_DIR)
+        .join(format!("chunk-{chunk:06}.bin"))
 }
 
 /// One committed-chunk journal line.
@@ -278,9 +280,8 @@ fn establish_meta(
     match recover::verify(&config_path) {
         ArtifactState::Verified(_) => {
             let raw = std::fs::read_to_string(&config_path)?;
-            let existing: RunMeta = serde_json::from_str(&raw).map_err(|e| {
-                CheckpointError::Corrupt(format!("{CONFIG_FILE} unparsable: {e}"))
-            })?;
+            let existing: RunMeta = serde_json::from_str(&raw)
+                .map_err(|e| CheckpointError::Corrupt(format!("{CONFIG_FILE} unparsable: {e}")))?;
             if !same_workload(&existing.sim, &requested.sim) {
                 return Err(CheckpointError::Config(format!(
                     "run directory {} was created for a different workload; \
@@ -352,9 +353,7 @@ fn run_inner(
     let chunk_jobs = meta.chunk_jobs.max(1);
 
     // Startup recovery: delete stray temps, quarantine torn chunks.
-    let scan = hpcpower_obs::time("checkpoint.recover", || {
-        recover::scan_dir(fs, &chunks_dir)
-    })?;
+    let scan = hpcpower_obs::time("checkpoint.recover", || recover::scan_dir(fs, &chunks_dir))?;
     if !scan.quarantined.is_empty() {
         eprintln!(
             "checkpoint: quarantined {} torn chunk(s) in {}",
@@ -418,7 +417,12 @@ fn run_inner(
                 &mut mat,
             )
         });
-        let bytes = encode_chunk(chunk, job_start as u64, &prep.placed[job_start..job_end], &mat);
+        let bytes = encode_chunk(
+            chunk,
+            job_start as u64,
+            &prep.placed[job_start..job_end],
+            &mat,
+        );
         hpcpower_obs::time("checkpoint.commit", || {
             recover::atomic_write(fs, &path, &bytes)
         })?;
@@ -429,7 +433,10 @@ fn run_inner(
         };
         let line = serde_json::to_string(&entry)
             .map_err(|e| CheckpointError::Corrupt(format!("journal encode failed: {e}")))?;
-        fs.append_sync(run_dir.join(JOURNAL_FILE).as_path(), format!("{line}\n").as_bytes())?;
+        fs.append_sync(
+            run_dir.join(JOURNAL_FILE).as_path(),
+            format!("{line}\n").as_bytes(),
+        )?;
         hpcpower_obs::counter_add("obs.recover.chunks_committed", 1);
         hpcpower_obs::watchdog::beat_if_armed();
         committed += 1;
@@ -449,7 +456,14 @@ fn run_inner(
     // the dataset provably comes from durable artifacts — the resumed
     // and uninterrupted paths converge on the exact same bytes here.
     let out = hpcpower_obs::time("checkpoint.finalize", || {
-        finalize(run_dir, n_chunks, chunk_jobs, n_jobs, cfg.horizon_min, &prep.placed)
+        finalize(
+            run_dir,
+            n_chunks,
+            chunk_jobs,
+            n_jobs,
+            cfg.horizon_min,
+            &prep.placed,
+        )
     })?;
     let result = sim.finish(prep, out);
     recover::atomic_write(fs, &run_dir.join(COMPLETE_FILE), b"ok\n")?;
@@ -503,7 +517,9 @@ fn finalize(
 /// what the kill-resume byte-identity contract is stated over.
 fn kill_self_hard() -> ! {
     let pid = std::process::id().to_string();
-    let _ = std::process::Command::new("kill").args(["-9", &pid]).status();
+    let _ = std::process::Command::new("kill")
+        .args(["-9", &pid])
+        .status();
     // SIGKILL may take a scheduler tick to land; abort() as a backstop
     // so this function can never return.
     std::process::abort();
@@ -690,12 +706,13 @@ fn decode_chunk(
                 for _ in 0..len {
                     samples.push(cur.f64()?);
                 }
-                let series = JobSeries::new(JobId::from_index(id as usize), nodes, minutes, samples)
-                    .ok_or_else(|| {
-                        CheckpointError::Corrupt(format!(
-                            "chunk {chunk}: job {id} series has inconsistent shape"
-                        ))
-                    })?;
+                let series =
+                    JobSeries::new(JobId::from_index(id as usize), nodes, minutes, samples)
+                        .ok_or_else(|| {
+                            CheckpointError::Corrupt(format!(
+                                "chunk {chunk}: job {id} series has inconsistent shape"
+                            ))
+                        })?;
                 out.series.push(Some(series));
             }
             other => {
@@ -720,10 +737,8 @@ mod tests {
     use hpcpower_trace::recover::RealFs;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "hpcpower-checkpoint-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("hpcpower-checkpoint-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -769,7 +784,10 @@ mod tests {
         match run_checkpointed(&cfg, &opts, &RealFs) {
             Err(CheckpointError::Interrupted { committed, total }) => {
                 assert_eq!(committed, 2);
-                assert!(total > 2, "workload too small to interrupt ({total} chunks)");
+                assert!(
+                    total > 2,
+                    "workload too small to interrupt ({total} chunks)"
+                );
             }
             other => panic!("expected Interrupted, got {other:?}"),
         }

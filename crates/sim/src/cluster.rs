@@ -146,10 +146,7 @@ impl ClusterSim {
         if hpcpower_obs::enabled() {
             let secs = params_start.elapsed().as_secs_f64();
             if secs > 0.0 {
-                hpcpower_obs::gauge_set(
-                    "sim.materialize.jobs_per_s",
-                    placed.len() as f64 / secs,
-                );
+                hpcpower_obs::gauge_set("sim.materialize.jobs_per_s", placed.len() as f64 / secs);
             }
             hpcpower_obs::counter_add("sim.jobs.placed", placed.len() as u64);
             hpcpower_obs::counter_add("sim.jobs.rejected", outcome.rejected.len() as u64);
@@ -250,7 +247,11 @@ mod tests {
     fn small_emmy_produces_valid_dataset() {
         let out = ClusterSim::new(SimConfig::emmy_small(42)).run();
         let d = &out.dataset;
-        assert!(d.len() > 200, "expected a few hundred jobs, got {}", d.len());
+        assert!(
+            d.len() > 200,
+            "expected a few hundred jobs, got {}",
+            d.len()
+        );
         validate(d).expect("dataset must satisfy all invariants");
         assert_eq!(out.job_params.len(), d.len());
         assert_eq!(out.rejected_jobs, 0);

@@ -213,9 +213,7 @@ mod tests {
         assert!(emmy.population.runtime_coupling > meggie.population.runtime_coupling);
         assert!(meggie.population.size_coupling > emmy.population.size_coupling);
         // Meggie users are more variable (Fig. 12).
-        assert!(
-            meggie.population.small_user_bimodality > emmy.population.small_user_bimodality
-        );
+        assert!(meggie.population.small_user_bimodality > emmy.population.small_user_bimodality);
         // Emmy is the busier system (Fig. 1: 87% vs 80%).
         assert!(emmy.arrivals.offered_load > meggie.arrivals.offered_load);
     }

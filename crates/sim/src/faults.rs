@@ -388,7 +388,11 @@ mod tests {
         assert!(sum.crashes > 0);
         assert!(sum.samples_dropped > 0);
         assert!(validate(&d).is_err(), "faulted dataset must be invalid");
-        for policy in [RepairPolicy::DropJob, RepairPolicy::HoldLast, RepairPolicy::Linear] {
+        for policy in [
+            RepairPolicy::DropJob,
+            RepairPolicy::HoldLast,
+            RepairPolicy::Linear,
+        ] {
             let mut dirty = d.clone();
             let rep = repair(&mut dirty, &RepairConfig::with_policy(policy));
             assert_eq!(rep.violations_after, 0, "{policy}: {rep:?}");

@@ -321,9 +321,7 @@ fn summarize_job_columnar(
     // Fused minute-major summarization pass over the columns.
     let mut total = 0.0;
     if n > 1 {
-        for ((&minute_sum, &mx), &mn) in
-            minute_power.iter().zip(&scratch.maxc).zip(&scratch.minc)
-        {
+        for ((&minute_sum, &mx), &mn) in minute_power.iter().zip(&scratch.maxc).zip(&scratch.minc) {
             total += minute_sum;
             scratch.job_power.push(minute_sum / n_nodes as f64);
             scratch.spread.push(mx - mn);
@@ -696,9 +694,7 @@ mod tests {
         let integral: f64 = series.node_energies().iter().sum();
         assert!((integral - out.summaries[0].energy_wmin).abs() < 1e-6);
         // Per-node power from the series matches the summary.
-        assert!(
-            (series.per_node_power() - out.summaries[0].per_node_power_w).abs() < 1e-9
-        );
+        assert!((series.per_node_power() - out.summaries[0].per_node_power_w).abs() < 1e-9);
     }
 
     #[test]
@@ -806,7 +802,11 @@ mod tests {
         let out = monitor(&model(), &jobs, &params, 500, &[false]);
         let s = &out.summaries[0];
         // Common noise sigma is 3%: +10% is a 3.3-sigma event.
-        assert!(s.frac_time_above_10pct < 0.02, "{}", s.frac_time_above_10pct);
+        assert!(
+            s.frac_time_above_10pct < 0.02,
+            "{}",
+            s.frac_time_above_10pct
+        );
         assert!(s.peak_overshoot < 0.25, "{}", s.peak_overshoot);
         assert!(s.temporal_cv < 0.08, "{}", s.temporal_cv);
     }
@@ -859,7 +859,11 @@ mod tests {
             ),
             ("energy_imbalance", a.energy_imbalance, b.energy_imbalance),
         ] {
-            assert_eq!(x.to_bits(), y.to_bits(), "{field} for job {job}: {x} vs {y}");
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{field} for job {job}: {x} vs {y}"
+            );
         }
     }
 

@@ -28,9 +28,24 @@ mod tests {
 
     #[test]
     fn zero_inherits_one_and_n_pin() {
-        let out0 = with_threads(0, || (0..64u32).into_par_iter().map(|x| x + 1).collect::<Vec<_>>());
-        let out1 = with_threads(1, || (0..64u32).into_par_iter().map(|x| x + 1).collect::<Vec<_>>());
-        let out4 = with_threads(4, || (0..64u32).into_par_iter().map(|x| x + 1).collect::<Vec<_>>());
+        let out0 = with_threads(0, || {
+            (0..64u32)
+                .into_par_iter()
+                .map(|x| x + 1)
+                .collect::<Vec<_>>()
+        });
+        let out1 = with_threads(1, || {
+            (0..64u32)
+                .into_par_iter()
+                .map(|x| x + 1)
+                .collect::<Vec<_>>()
+        });
+        let out4 = with_threads(4, || {
+            (0..64u32)
+                .into_par_iter()
+                .map(|x| x + 1)
+                .collect::<Vec<_>>()
+        });
         assert_eq!(out0, out1);
         assert_eq!(out1, out4);
     }

@@ -163,8 +163,8 @@ impl PowerModel {
     #[inline]
     pub fn temporal_factor(&self, params: &JobPowerParams, minute: u64) -> f64 {
         let key = CounterRng::new(params.key);
-        let noise = key.normal_at2(SALT_COMMON, minute).clamp(-4.0, 4.0)
-            * self.cfg.common_noise_sigma;
+        let noise =
+            key.normal_at2(SALT_COMMON, minute).clamp(-4.0, 4.0) * self.cfg.common_noise_sigma;
         self.phase_factor(params, minute) * (1.0 + noise)
     }
 
@@ -309,7 +309,7 @@ pub fn resolve_job_params(
     job_key: u64,
 ) -> JobPowerParams {
     let rng = CounterRng::new(job_key).derive(0x5041_52); // "PAR"
-    // Mean-corrected log-normal jitter on the base power.
+                                                          // Mean-corrected log-normal jitter on the base power.
     let sigma = profile.job_jitter_sigma;
     let jitter = (rng.normal_at(0).clamp(-3.0, 3.0) * sigma - sigma * sigma / 2.0).exp();
     let base_w = tdp_w * profile.mean_tdp_fraction * template.power_modifier * jitter;
@@ -322,7 +322,11 @@ pub fn resolve_job_params(
     } else {
         0.0
     };
-    let spike_amp = if has_spikes { profile.burst.spike_amp } else { 0.0 };
+    let spike_amp = if has_spikes {
+        profile.burst.spike_amp
+    } else {
+        0.0
+    };
     let dip_frac = if has_dips {
         profile.burst.dip_frac * (0.5 + rng.f64_at(4))
     } else {
@@ -443,7 +447,11 @@ mod tests {
             / n as f64;
         let sigma = m.config().mfg_sigma;
         assert!((mean - 1.0).abs() < 0.01, "mean {mean}");
-        assert!((var.sqrt() - sigma).abs() < sigma * 0.3, "sigma {}", var.sqrt());
+        assert!(
+            (var.sqrt() - sigma).abs() < sigma * 0.3,
+            "sigma {}",
+            var.sqrt()
+        );
     }
 
     #[test]
@@ -536,8 +544,7 @@ mod tests {
         let mean: f64 = (0..n)
             .map(|i| {
                 let p = resolve_job_params(&profile, &template, 210.0, i as u64 * 7919);
-                let expected_phase =
-                    1.0 + p.spike_frac * p.spike_amp - p.dip_frac * p.dip_amp;
+                let expected_phase = 1.0 + p.spike_frac * p.spike_amp - p.dip_frac * p.dip_amp;
                 p.base_w * expected_phase
             })
             .sum::<f64>()

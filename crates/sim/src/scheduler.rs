@@ -58,7 +58,9 @@ struct Running {
 /// head will not need then.
 pub fn schedule(requests: &[JobRequest], n_nodes: u32) -> ScheduleOutcome {
     debug_assert!(
-        requests.windows(2).all(|w| w[0].submit_min <= w[1].submit_min),
+        requests
+            .windows(2)
+            .all(|w| w[0].submit_min <= w[1].submit_min),
         "requests must be sorted by submission time"
     );
     let mut jobs: Vec<ScheduledJob> = Vec::with_capacity(requests.len());
@@ -300,11 +302,7 @@ mod tests {
         // J1 (head after J0 starts): 8 nodes -> shadow = 100.
         // J2: 2 nodes, walltime 50 -> fits in the hole (2 free nodes,
         //     ends at 50 <= shadow) and must be backfilled at t=0.
-        let reqs = vec![
-            req(0, 6, 100, 100),
-            req(1, 8, 100, 100),
-            req(2, 2, 50, 50),
-        ];
+        let reqs = vec![req(0, 6, 100, 100), req(1, 8, 100, 100), req(2, 2, 50, 50)];
         let out = schedule(&reqs, 8);
         let by_req: HashMap<usize, &ScheduledJob> =
             out.jobs.iter().map(|j| (j.request_idx, j)).collect();

@@ -195,7 +195,11 @@ fn draw_app(
                 } else if serial {
                     // DataPrep-style low-power work dominates; packed
                     // serial farms are common but less so.
-                    *w *= if catalog[i].name == "DataPrep" { 20.0 } else { 5.0 };
+                    *w *= if catalog[i].name == "DataPrep" {
+                        20.0
+                    } else {
+                        5.0
+                    };
                 } else if frac > 0.6 {
                     *w *= 0.15;
                 }
@@ -330,7 +334,11 @@ pub fn generate_population(
                 // of power consumption behaviors" (Fig. 12).
                 let mut prep =
                     make_template(cfg, catalog, arch, UserClass::Small, false, &mut user_rng);
-                prep.weight = if class == UserClass::Heavy { 0.30 } else { 0.60 };
+                prep.weight = if class == UserClass::Heavy {
+                    0.30
+                } else {
+                    0.60
+                };
                 templates.push(prep);
             }
             UserModel {

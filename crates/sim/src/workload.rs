@@ -85,8 +85,7 @@ pub fn generate_arrivals(
 
     // Normalize the intensity profile so thinning keeps the mean rate.
     let week = 7 * 1440;
-    let mean_intensity: f64 =
-        (0..week).map(|m| intensity(cfg, m)).sum::<f64>() / week as f64;
+    let mean_intensity: f64 = (0..week).map(|m| intensity(cfg, m)).sum::<f64>() / week as f64;
     let max_intensity = (1.0 + cfg.diurnal_amplitude) / mean_intensity;
     let rate_max = base_rate * max_intensity;
 
@@ -115,7 +114,9 @@ pub fn generate_arrivals(
         let uidx = user_table.sample(rng);
         let user = &users[uidx];
         let tw: Vec<f64> = user.templates.iter().map(|tpl| tpl.weight).collect();
-        let tidx = AliasTable::new(&tw).expect("template weights valid").sample(rng);
+        let tidx = AliasTable::new(&tw)
+            .expect("template weights valid")
+            .sample(rng);
         let tpl = &user.templates[tidx];
         // Actual runtime: log-normal around the template median, killed
         // at the requested walltime (mass at the cap, like real systems).

@@ -54,12 +54,12 @@ fn alloc_profiling_does_not_change_dataset_bytes() {
     // Span-level attribution reached the simulate call tree: some slot
     // beyond root/overflow carries bytes.
     assert!(
+        alloc.slots.iter().skip(2).any(|s| s.alloc_bytes > 0),
+        "no span slot attributed any bytes: {:?}",
         alloc
             .slots
             .iter()
-            .skip(2)
-            .any(|s| s.alloc_bytes > 0),
-        "no span slot attributed any bytes: {:?}",
-        alloc.slots.iter().map(|s| (&s.name, s.alloc_bytes)).collect::<Vec<_>>()
+            .map(|s| (&s.name, s.alloc_bytes))
+            .collect::<Vec<_>>()
     );
 }

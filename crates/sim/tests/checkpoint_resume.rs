@@ -12,10 +12,8 @@ use hpcpower_sim::{resume, run_checkpointed, simulate, FaultConfig, SimConfig};
 use hpcpower_trace::recover::RealFs;
 
 fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "hpcpower-ckpt-matrix-{tag}-{}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("hpcpower-ckpt-matrix-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -38,7 +36,10 @@ fn assert_resume_identity(seed: u64, threads: usize, fault_rate: f64) {
     let monolithic = simulate(cfg.clone());
     let baseline = serde_json::to_string(&monolithic).expect("serialize baseline");
 
-    let dir = tmpdir(&format!("s{seed}-t{threads}-f{}", (fault_rate * 100.0) as u32));
+    let dir = tmpdir(&format!(
+        "s{seed}-t{threads}-f{}",
+        (fault_rate * 100.0) as u32
+    ));
     let mut opts = CheckpointOptions::new(&dir);
     // At least four chunks, deliberately not a divisor of the job count.
     opts.chunk_jobs = (monolithic.len() / 4).max(1) | 1;
@@ -49,7 +50,10 @@ fn assert_resume_identity(seed: u64, threads: usize, fault_rate: f64) {
     match run_checkpointed(&cfg, &opts, &RealFs) {
         Err(CheckpointError::Interrupted { committed, total }) => {
             assert_eq!(committed, 2, "seed {seed}: stop hook fired late");
-            assert!(total > 2, "seed {seed}: workload spans too few chunks ({total})");
+            assert!(
+                total > 2,
+                "seed {seed}: workload spans too few chunks ({total})"
+            );
         }
         other => panic!("seed {seed}: expected Interrupted, got {other:?}"),
     }
@@ -126,8 +130,13 @@ fn cross_thread_resume_is_byte_identical() {
         Err(CheckpointError::Interrupted { .. }) => {}
         other => panic!("expected Interrupted, got {other:?}"),
     }
-    let resumed = resume(&dir, Some(4), &RealFs).expect("resume at 4 threads").dataset;
-    assert_eq!(serde_json::to_string(&resumed).expect("serialize"), baseline);
+    let resumed = resume(&dir, Some(4), &RealFs)
+        .expect("resume at 4 threads")
+        .dataset;
+    assert_eq!(
+        serde_json::to_string(&resumed).expect("serialize"),
+        baseline
+    );
     std::fs::remove_dir_all(&dir).expect("clean scratch");
 }
 
@@ -154,7 +163,9 @@ fn torn_chunk_leaves_quarantine_marker_and_is_redone() {
     let whole = std::fs::read(&victim).expect("committed chunk exists");
     std::fs::write(&victim, &whole[..whole.len() / 3]).expect("tear the chunk");
 
-    let resumed = resume(&dir, None, &RealFs).expect("resume past torn chunk").dataset;
+    let resumed = resume(&dir, None, &RealFs)
+        .expect("resume past torn chunk")
+        .dataset;
     assert!(
         dir.join("chunks").join("chunk-000001.bin.torn").exists(),
         "a torn chunk must never disappear without a quarantine marker"

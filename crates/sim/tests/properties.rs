@@ -20,8 +20,11 @@ fn tiny(seed: u64, rate: f64, threads: usize) -> SimConfig {
     cfg
 }
 
-const POLICIES: [RepairPolicy; 3] =
-    [RepairPolicy::DropJob, RepairPolicy::HoldLast, RepairPolicy::Linear];
+const POLICIES: [RepairPolicy; 3] = [
+    RepairPolicy::DropJob,
+    RepairPolicy::HoldLast,
+    RepairPolicy::Linear,
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]

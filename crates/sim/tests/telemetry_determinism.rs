@@ -42,7 +42,10 @@ fn telemetry_does_not_change_dataset_bytes() {
     );
     let snap = hpcpower_obs::snapshot();
     let sim_span = snap.span("simulate").expect("simulate span recorded");
-    assert!(sim_span.total_ns > 0, "simulate span must have nonzero time");
+    assert!(
+        sim_span.total_ns > 0,
+        "simulate span must have nonzero time"
+    );
     assert_eq!(sim_span.count, 2, "one simulate span per enabled run");
     for stage in [
         "simulate.population",
@@ -51,7 +54,9 @@ fn telemetry_does_not_change_dataset_bytes() {
         "simulate.params",
         "simulate.monitor",
     ] {
-        let s = snap.span(stage).unwrap_or_else(|| panic!("missing span {stage}"));
+        let s = snap
+            .span(stage)
+            .unwrap_or_else(|| panic!("missing span {stage}"));
         assert_eq!(s.parent.as_deref(), Some("simulate"), "{stage} parent");
     }
     assert!(snap.counter("sim.monitor.samples").unwrap_or(0) > 0);
@@ -60,9 +65,13 @@ fn telemetry_does_not_change_dataset_bytes() {
         snap.counter("sim.sched.backfill_hits").is_some(),
         "backfill counter must be present even if zero"
     );
-    let depth = snap.histogram("sim.sched.queue_depth").expect("queue-depth histogram");
+    let depth = snap
+        .histogram("sim.sched.queue_depth")
+        .expect("queue-depth histogram");
     assert!(depth.count > 0);
-    let wait = snap.histogram("sim.sched.wait_min").expect("wait-time histogram");
+    let wait = snap
+        .histogram("sim.sched.wait_min")
+        .expect("wait-time histogram");
     assert!(wait.count > 0, "every placed job records a wait time");
     assert!(wait.p99 >= wait.p50, "wait quantiles are ordered");
 }

@@ -158,7 +158,11 @@ mod tests {
     fn handles_ties_reasonably() {
         // Heavily tied x (like node counts), monotone y.
         let x = [1.0, 1.0, 1.0, 2.0, 2.0, 4.0, 4.0, 8.0, 8.0, 8.0];
-        let y: Vec<f64> = x.iter().enumerate().map(|(i, &v)| v * 10.0 + i as f64).collect();
+        let y: Vec<f64> = x
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| v * 10.0 + i as f64)
+            .collect();
         let c = spearman(&x, &y).unwrap();
         assert!(c.r > 0.9, "r {}", c.r);
     }

@@ -235,7 +235,9 @@ mod tests {
 
     #[test]
     fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).sin() * 50.0 + 100.0).collect();
+        let data: Vec<f64> = (0..1000)
+            .map(|i| (i as f64 * 0.37).sin() * 50.0 + 100.0)
+            .collect();
         let whole = Summary::from_slice(&data);
         let mut left = Summary::from_slice(&data[..313]);
         let right = Summary::from_slice(&data[313..]);
@@ -273,7 +275,11 @@ mod tests {
         let data: Vec<f64> = (0..1000).map(|i| base + (i % 7) as f64).collect();
         let s = Summary::from_slice(&data);
         // Variance of (i % 7) over uniform residues 0..7 = 4.0.
-        assert!((s.variance_population() - 4.0).abs() < 0.01, "{}", s.variance_population());
+        assert!(
+            (s.variance_population() - 4.0).abs() < 0.01,
+            "{}",
+            s.variance_population()
+        );
     }
 
     #[test]

@@ -148,7 +148,11 @@ pub fn top_set_overlap(a: &[f64], b: &[f64], fraction: f64) -> Result<f64> {
     let k = ((a.len() as f64 * fraction).round() as usize).clamp(1, a.len());
     let top_indices = |vals: &[f64]| -> Vec<usize> {
         let mut idx: Vec<usize> = (0..vals.len()).collect();
-        idx.sort_by(|&i, &j| vals[j].partial_cmp(&vals[i]).unwrap_or(std::cmp::Ordering::Equal));
+        idx.sort_by(|&i, &j| {
+            vals[j]
+                .partial_cmp(&vals[i])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
         idx.truncate(k);
         idx
     };

@@ -132,8 +132,7 @@ pub fn erf(x: f64) -> f64 {
     // A&S 7.1.26.
     let t = 1.0 / (1.0 + 0.327_591_1 * x);
     let y = 1.0
-        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736)
-            * t
+        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736) * t
             + 0.254_829_592)
             * t
             * (-x * x).exp();
@@ -265,12 +264,7 @@ mod tests {
         assert_close(normal_cdf(1.96), 0.975, 1e-4, "Phi(1.96)");
         for i in -30..30 {
             let x = i as f64 / 5.0;
-            assert_close(
-                normal_cdf(x) + normal_sf(x),
-                1.0,
-                1e-12,
-                "cdf+sf identity",
-            );
+            assert_close(normal_cdf(x) + normal_sf(x), 1.0, 1e-12, "cdf+sf identity");
         }
     }
 }

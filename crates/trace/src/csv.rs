@@ -170,7 +170,8 @@ impl Quarantine {
                 message,
             });
         }
-        self.rows.push(QuarantinedRow::new(line, column, message, raw));
+        self.rows
+            .push(QuarantinedRow::new(line, column, message, raw));
         if self.rows.len() > self.opts.error_budget {
             return Err(TraceError::ErrorBudgetExceeded {
                 quarantined: self.rows.len(),
@@ -342,7 +343,9 @@ pub(crate) mod oracle {
         let mut quarantine = Quarantine::new(opts);
         let mut seen_ids = std::collections::HashSet::new();
         let mut lines = r.lines().enumerate();
-        let (_, header) = lines.next().ok_or_else(|| TraceError::parse(1, "empty file"))?;
+        let (_, header) = lines
+            .next()
+            .ok_or_else(|| TraceError::parse(1, "empty file"))?;
         let header = header?;
         if header.trim() != JOBS_HEADER {
             return Err(TraceError::parse(1, format!("unexpected header: {header}")));
@@ -404,7 +407,9 @@ pub(crate) mod oracle {
         let mut out = SystemTable::default();
         let mut quarantine = Quarantine::new(opts);
         let mut lines = r.lines().enumerate();
-        let (_, header) = lines.next().ok_or_else(|| TraceError::parse(1, "empty file"))?;
+        let (_, header) = lines
+            .next()
+            .ok_or_else(|| TraceError::parse(1, "empty file"))?;
         if header?.trim() != SYSTEM_HEADER {
             return Err(TraceError::parse(1, "unexpected header"));
         }
@@ -549,7 +554,11 @@ mod tests {
         let mut text = String::from_utf8(buf).unwrap();
         text = text.replace("151.25", "not-a-number");
         match read_jobs(BufReader::new(text.as_bytes())) {
-            Err(TraceError::Parse { line, column, message }) => {
+            Err(TraceError::Parse {
+                line,
+                column,
+                message,
+            }) => {
                 assert_eq!(line, 2);
                 assert_eq!(column, Some(9), "per_node_power_w is field 9");
                 assert!(message.contains("per_node_power_w"), "{message}");
@@ -568,11 +577,8 @@ mod tests {
         text.push_str("7,1,1,0,0\n");
         text.push_str("8,1,1,0,10,60,abc,120,100,100,0,0,0,0,0,0\n");
         text.push_str("0,9,9,0,10,60,2,120,100,100,0,0,0,0,0,0\n");
-        let table = read_jobs_with(
-            BufReader::new(text.as_bytes()),
-            ParseOptions::lenient(10),
-        )
-        .unwrap();
+        let table =
+            read_jobs_with(BufReader::new(text.as_bytes()), ParseOptions::lenient(10)).unwrap();
         assert_eq!(table.jobs.len(), 2, "good rows kept");
         assert_eq!(table.quarantined.len(), 3);
         assert_eq!(table.quarantined[0].line, 4);
@@ -619,11 +625,8 @@ mod tests {
         write_system(&mut buf, &series).unwrap();
         let mut text = String::from_utf8(buf).unwrap();
         text.push_str("2,eleven,1600\n3,12,1700\n");
-        let table = read_system_with(
-            BufReader::new(text.as_bytes()),
-            ParseOptions::lenient(5),
-        )
-        .unwrap();
+        let table =
+            read_system_with(BufReader::new(text.as_bytes()), ParseOptions::lenient(5)).unwrap();
         assert_eq!(table.samples.len(), 3);
         assert_eq!(table.quarantined.len(), 1);
         assert_eq!(table.quarantined[0].column, Some(2));

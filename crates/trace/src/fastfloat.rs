@@ -25,8 +25,8 @@
 /// Exactly-representable powers of ten: `10^k` for `k ≤ 22` has a
 /// 53-bit-or-shorter significand, so `POW10[k] as f64` is exact.
 const POW10: [f64; 23] = [
-    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
-    1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 ];
 
 /// Largest significand the fast path may use: `2^53`, the bound below
@@ -276,9 +276,24 @@ mod tests {
     #[test]
     fn simple_decimals_take_the_fast_path() {
         for s in [
-            "0", "1", "-1", "+1", "151.25", "72600", "0.04", "1.5e3", "2e-5", "123.456e10",
+            "0",
+            "1",
+            "-1",
+            "+1",
+            "151.25",
+            "72600",
+            "0.04",
+            "1.5e3",
+            "2e-5",
+            "123.456e10",
             "9007199254740992", // 2^53, still exact
-            "-0.0", "0.0", "1.", ".5", "-.5", "00000000000000000001.5", "3e+2",
+            "-0.0",
+            "0.0",
+            "1.",
+            ".5",
+            "-.5",
+            "00000000000000000001.5",
+            "3e+2",
         ] {
             assert_matches_std(s);
         }
@@ -287,23 +302,26 @@ mod tests {
     #[test]
     fn fast_path_actually_fires_on_the_simple_forms() {
         for s in ["151.25", "72600", "0.04", "1.5e3", "-0.0", "12345.6789"] {
-            assert!(fast_path(s.as_bytes()).is_some(), "{s:?} missed the fast path");
+            assert!(
+                fast_path(s.as_bytes()).is_some(),
+                "{s:?} missed the fast path"
+            );
         }
     }
 
     #[test]
     fn window_edges_defer_but_agree() {
         for s in [
-            "9007199254740993",      // 2^53 + 1: mantissa over the exact bound
-            "1e23",                  // scale past the exact powers
+            "9007199254740993", // 2^53 + 1: mantissa over the exact bound
+            "1e23",             // scale past the exact powers
             "1e-23",
             "1.7976931348623157e308",
-            "5e-324",                // smallest subnormal
+            "5e-324", // smallest subnormal
             "1e-320",
             "2.2250738585072011e-308", // the infamous slow-path value
-            "1e400",                 // overflows to inf
+            "1e400",                   // overflows to inf
             "-1e400",
-            "1e-400",                // underflows to zero
+            "1e-400", // underflows to zero
             "123456789012345678901234567890.123456789",
         ] {
             assert_matches_std(s);
@@ -320,8 +338,25 @@ mod tests {
     #[test]
     fn rejections_match_std() {
         for s in [
-            "", ".", "+", "-", "e5", "1e", "1e+", "1..2", "1.5x", " 1", "1 ", "0x10",
-            "1_000", "--1", "++1", "1.2.3", "not-a-number", ",", "NaN5",
+            "",
+            ".",
+            "+",
+            "-",
+            "e5",
+            "1e",
+            "1e+",
+            "1..2",
+            "1.5x",
+            " 1",
+            "1 ",
+            "0x10",
+            "1_000",
+            "--1",
+            "++1",
+            "1.2.3",
+            "not-a-number",
+            ",",
+            "NaN5",
         ] {
             assert_matches_std(s);
         }

@@ -431,7 +431,11 @@ struct JobsRow<'a> {
 /// 1-based field column, with the same messages as the legacy path.
 fn parse_jobs_row_tok(lineno: usize, line: &str) -> Result<JobsRow<'_>> {
     let fields = split_fields::<16>(line).map_err(|got| {
-        TraceError::parse_at(lineno, got.min(16), format!("expected 16 fields, got {got}"))
+        TraceError::parse_at(
+            lineno,
+            got.min(16),
+            format!("expected 16 fields, got {got}"),
+        )
     })?;
     let perr = |k: usize, what: &str| TraceError::parse_at(lineno, k + 1, format!("bad {what}"));
     let u64_at = |k: usize, what: &str| parse_u64_fast(fields[k]).ok_or_else(|| perr(k, what));
@@ -666,7 +670,11 @@ fn parse_jobs_chunk<'a>(chunk: &Chunk<'a>, mode: ParseMode) -> JobsChunk<'a> {
                 acc.oks.push((lineno, line));
             }
             Err(err) => {
-                acc.errs.push(ErrRow { lineno, raw: line, err });
+                acc.errs.push(ErrRow {
+                    lineno,
+                    raw: line,
+                    err,
+                });
                 if mode == ParseMode::Strict {
                     break;
                 }
@@ -866,7 +874,11 @@ fn parse_system_chunk<'a>(chunk: &Chunk<'a>, mode: ParseMode) -> SysChunk<'a> {
         match parsed {
             Ok(sample) => acc.samples.push(sample),
             Err(err) => {
-                acc.errs.push(ErrRow { lineno, raw: line, err });
+                acc.errs.push(ErrRow {
+                    lineno,
+                    raw: line,
+                    err,
+                });
                 if mode == ParseMode::Strict {
                     break;
                 }
@@ -970,7 +982,10 @@ mod tests {
         assert_eq!(IdTok::parse("_hidden").unwrap().num, None);
         assert!(IdTok::parse("").is_none());
         assert!(IdTok::parse("-3").is_none());
-        assert!(IdTok::parse("9lives").is_none(), "digit-led junk stays an error");
+        assert!(
+            IdTok::parse("9lives").is_none(),
+            "digit-led junk stays an error"
+        );
         assert!(IdTok::parse("a b").is_none());
         assert!(IdTok::parse("\u{0}\u{0}garbage").is_none());
     }
@@ -1203,9 +1218,8 @@ mod parity {
                     ));
                     for threads in THREADS {
                         for chunk in CHUNKS {
-                            let got = with_pool(threads, chunk, || {
-                                render(&read_jobs_str(&text, opts))
-                            });
+                            let got =
+                                with_pool(threads, chunk, || render(&read_jobs_str(&text, opts)));
                             assert_eq!(
                                 got, want,
                                 "jobs seed={seed} torn={torn} opts={opts:?} \
@@ -1230,9 +1244,8 @@ mod parity {
                     ));
                     for threads in THREADS {
                         for chunk in CHUNKS {
-                            let got = with_pool(threads, chunk, || {
-                                render(&read_system_str(&text, opts))
-                            });
+                            let got =
+                                with_pool(threads, chunk, || render(&read_system_str(&text, opts)));
                             assert_eq!(
                                 got, want,
                                 "system seed={seed} torn={torn} opts={opts:?} \
@@ -1312,7 +1325,10 @@ mod parity {
         });
         time("full read_jobs_str", &mut || {
             with_pool(1, None, || {
-                read_jobs_str(&text, ParseOptions::strict()).unwrap().jobs.len()
+                read_jobs_str(&text, ParseOptions::strict())
+                    .unwrap()
+                    .jobs
+                    .len()
             })
         });
     }
@@ -1327,11 +1343,9 @@ mod parity {
         let text = jobs_fixture(1, 400_000, false);
         let mb = text.len() as f64 / 1e6;
         let t0 = Instant::now();
-        let oracle = csv_oracle::read_jobs_with(
-            BufReader::new(text.as_bytes()),
-            ParseOptions::strict(),
-        )
-        .unwrap();
+        let oracle =
+            csv_oracle::read_jobs_with(BufReader::new(text.as_bytes()), ParseOptions::strict())
+                .unwrap();
         let oracle_s = t0.elapsed().as_secs_f64();
         for threads in [1usize, 2, 4, 8] {
             let t1 = Instant::now();

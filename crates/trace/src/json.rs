@@ -188,10 +188,13 @@ mod tests {
                 active_nodes: 2,
                 total_power_w: 240.0,
             }],
-            instrumented: vec![
-                JobSeries::new(JobId(0), 2, 3, vec![118.0, 120.0, 122.0, 119.0, 121.0, 120.0])
-                    .unwrap(),
-            ],
+            instrumented: vec![JobSeries::new(
+                JobId(0),
+                2,
+                3,
+                vec![118.0, 120.0, 122.0, 119.0, 121.0, 120.0],
+            )
+            .unwrap()],
             app_names: vec!["Gromacs".into()],
             user_count: 1,
             index: Default::default(),
@@ -253,8 +256,12 @@ mod tests {
 
     #[test]
     fn zero_dimension_series_is_invalid() {
-        assert_invalid_naming_job0(&with_series(r#"{"id":0,"nodes":0,"minutes":3,"samples":[]}"#));
-        assert_invalid_naming_job0(&with_series(r#"{"id":0,"nodes":2,"minutes":0,"samples":[]}"#));
+        assert_invalid_naming_job0(&with_series(
+            r#"{"id":0,"nodes":0,"minutes":3,"samples":[]}"#,
+        ));
+        assert_invalid_naming_job0(&with_series(
+            r#"{"id":0,"nodes":2,"minutes":0,"samples":[]}"#,
+        ));
     }
 
     /// Reads `text` as the full dataset and as both section loads.
@@ -282,8 +289,7 @@ mod tests {
         assert_eq!(prediction.system_series, vec![]);
         assert_eq!(prediction.summaries, d.summaries);
         // A malformed number inside the series fails all three.
-        let bad_number =
-            with_series(r#"{"id":0,"nodes":2,"minutes":3,"samples":[01,1,1,1,1,1]}"#);
+        let bad_number = with_series(r#"{"id":0,"nodes":2,"minutes":3,"samples":[01,1,1,1,1,1]}"#);
         for read in read_all_three(&bad_number) {
             match read {
                 Err(TraceError::Invalid(msg)) => assert!(msg.contains("invalid number"), "{msg}"),

@@ -41,8 +41,8 @@ pub mod validate;
 
 pub use dataset::TraceDataset;
 pub use ids::{AppId, Interner, JobId, NodeId, UserId};
-pub use ingest::{read_jobs_str, read_system_str};
 pub use index::{AppRollup, DatasetIndex, UserRollup};
+pub use ingest::{read_jobs_str, read_system_str};
 pub use job::{JobPowerSummary, JobRecord};
 pub use recover::{atomic_write, ArtifactState, ChaosFs, FaultKind, Fs, RealFs};
 pub use repair::{repair, DataQualityReport, RepairConfig, RepairPolicy};

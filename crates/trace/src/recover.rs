@@ -205,17 +205,26 @@ impl ChaosFs {
 
     /// Total mutation operations seen so far.
     pub fn ops(&self) -> u64 {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).ops
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .ops
     }
 
     /// How many operations the fault has failed so far.
     pub fn faults_fired(&self) -> u64 {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).fired
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .fired
     }
 
     /// Advances the op counter; returns the fault to apply, if any.
     fn next_op(&self) -> Option<FaultKind> {
-        let mut s = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut s = self
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let op = s.ops;
         s.ops += 1;
         let fire = op == s.fail_at_op || (s.persistent && op > s.fail_at_op);
@@ -494,10 +503,8 @@ mod tests {
     use super::*;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "hpcpower-recover-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("hpcpower-recover-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -572,11 +579,14 @@ mod tests {
         assert!(!dir.join("stray.bin.tmp").exists());
         // Idempotent: a second sweep finds only the good artifact.
         let again = scan_dir(&RealFs, &dir).unwrap();
-        assert_eq!(again, ScanReport {
-            tmp_removed: vec![],
-            quarantined: vec![],
-            verified: 1,
-        });
+        assert_eq!(
+            again,
+            ScanReport {
+                tmp_removed: vec![],
+                quarantined: vec![],
+                verified: 1,
+            }
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -644,7 +654,11 @@ mod tests {
     fn chaos_at_every_op_leaves_a_whole_version_or_a_quarantine() {
         const V1: &[u8] = b"version-1";
         const V2: &[u8] = b"version-2-which-is-longer";
-        for kind in [FaultKind::Enospc, FaultKind::ShortWrite, FaultKind::FsyncFail] {
+        for kind in [
+            FaultKind::Enospc,
+            FaultKind::ShortWrite,
+            FaultKind::FsyncFail,
+        ] {
             let dir = tmpdir(&format!("chaos-every-op-{kind:?}"));
             let path = dir.join("artifact.bin");
             let clean = ChaosFs::new(kind, u64::MAX, false);
@@ -658,7 +672,10 @@ mod tests {
                 let chaos = ChaosFs::new(kind, op, false);
                 let attempt = atomic_write(&chaos, &path, V2);
                 assert_eq!(chaos.faults_fired(), 1, "{kind:?} op {op}");
-                assert!(attempt.is_err(), "{kind:?} op {op}: fault fired but write returned Ok");
+                assert!(
+                    attempt.is_err(),
+                    "{kind:?} op {op}: fault fired but write returned Ok"
+                );
                 scan_dir(&RealFs, &dir).unwrap();
                 match verify(&path) {
                     ArtifactState::Verified(_) => {

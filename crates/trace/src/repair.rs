@@ -333,7 +333,11 @@ fn repair_system_series(d: &mut TraceDataset, policy: RepairPolicy, rep: &mut Da
 
 /// Repairs accounting records and power summaries; returns the set of
 /// job indices to drop.
-fn repair_jobs(d: &mut TraceDataset, policy: RepairPolicy, rep: &mut DataQualityReport) -> Vec<bool> {
+fn repair_jobs(
+    d: &mut TraceDataset,
+    policy: RepairPolicy,
+    rep: &mut DataQualityReport,
+) -> Vec<bool> {
     // Misaligned tables cannot be trusted beyond the common prefix.
     if d.jobs.len() != d.summaries.len() {
         let n = d.jobs.len().min(d.summaries.len());
@@ -454,7 +458,10 @@ fn repair_series(
         let runtime = job.runtime_min();
         if (series.minutes() as u64) != runtime {
             // A crash truncated the job record; cut the series to match.
-            match u32::try_from(runtime).ok().and_then(|m| series.truncated(m)) {
+            match u32::try_from(runtime)
+                .ok()
+                .and_then(|m| series.truncated(m))
+            {
                 Some(t) => {
                     series = t;
                     rep.series_truncated += 1;
@@ -664,8 +671,8 @@ mod tests {
         let mut d = base_dataset();
         d.system_series.swap(2, 3); // out of order
         d.system_series.push(SystemSample {
-            minute: 9, // duplicate
-            active_nodes: 99, // above system size
+            minute: 9,          // duplicate
+            active_nodes: 99,   // above system size
             total_power_w: 1e9, // above envelope
         });
         d.system_series[0].total_power_w = f64::NAN;
@@ -679,7 +686,7 @@ mod tests {
     #[test]
     fn gap_filling_follows_policy() {
         for (policy, expect_len) in [
-            (RepairPolicy::DropJob, 7),  // gaps left open
+            (RepairPolicy::DropJob, 7), // gaps left open
             (RepairPolicy::HoldLast, 10),
             (RepairPolicy::Linear, 10),
         ] {
@@ -730,7 +737,11 @@ mod tests {
 
     #[test]
     fn spikes_are_clipped_under_every_policy() {
-        for policy in [RepairPolicy::DropJob, RepairPolicy::HoldLast, RepairPolicy::Linear] {
+        for policy in [
+            RepairPolicy::DropJob,
+            RepairPolicy::HoldLast,
+            RepairPolicy::Linear,
+        ] {
             let mut d = base_dataset();
             d.summaries[0].per_node_power_w = 500.0; // above 210 W TDP
             d.summaries[0].frac_time_above_10pct = 1.4;
@@ -772,7 +783,11 @@ mod tests {
 
     #[test]
     fn unrepairable_structure_always_dropped() {
-        for policy in [RepairPolicy::DropJob, RepairPolicy::HoldLast, RepairPolicy::Linear] {
+        for policy in [
+            RepairPolicy::DropJob,
+            RepairPolicy::HoldLast,
+            RepairPolicy::Linear,
+        ] {
             let mut d = base_dataset();
             d.jobs[0].end_min = d.jobs[0].start_min; // zero runtime
             d.jobs[2].nodes = 0;
@@ -797,7 +812,11 @@ mod tests {
 
     #[test]
     fn repair_is_idempotent() {
-        for policy in [RepairPolicy::DropJob, RepairPolicy::HoldLast, RepairPolicy::Linear] {
+        for policy in [
+            RepairPolicy::DropJob,
+            RepairPolicy::HoldLast,
+            RepairPolicy::Linear,
+        ] {
             let mut d = base_dataset();
             d.summaries[1].per_node_power_w = f64::NAN;
             d.system_series.remove(4);

@@ -231,13 +231,7 @@ mod tests {
         // 2 nodes, 3 minutes:
         // node0: 100, 110, 120
         // node1: 90,  95, 100
-        JobSeries::new(
-            JobId(1),
-            2,
-            3,
-            vec![100.0, 110.0, 120.0, 90.0, 95.0, 100.0],
-        )
-        .unwrap()
+        JobSeries::new(JobId(1), 2, 3, vec![100.0, 110.0, 120.0, 90.0, 95.0, 100.0]).unwrap()
     }
 
     #[test]
@@ -336,10 +330,8 @@ mod tests {
 
     #[test]
     fn subsampled_mean_close_to_full_for_flat_series() {
-        let s = JobSeries::from_fn(JobId(4), 3, 120, |_, t| {
-            100.0 + ((t * 37) % 11) as f64
-        })
-        .unwrap();
+        let s =
+            JobSeries::from_fn(JobId(4), 3, 120, |_, t| 100.0 + ((t * 37) % 11) as f64).unwrap();
         let sub = s.subsampled(5).unwrap();
         assert!((sub.per_node_power() - s.per_node_power()).abs() < 2.0);
     }

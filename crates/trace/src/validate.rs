@@ -349,9 +349,8 @@ mod tests {
     #[test]
     fn rejects_series_shape_mismatch() {
         let mut d = valid_dataset();
-        d.instrumented.push(
-            crate::series::JobSeries::new(JobId(0), 4, 10, vec![100.0; 40]).unwrap(),
-        );
+        d.instrumented
+            .push(crate::series::JobSeries::new(JobId(0), 4, 10, vec![100.0; 40]).unwrap());
         // Job ran 60 minutes but series has 10.
         assert!(validate(&d).is_err());
     }

@@ -94,15 +94,45 @@ proptest! {
 #[test]
 fn word_forms_and_rejections() {
     for s in [
-        "inf", "-inf", "+inf", "infinity", "-infinity", "NaN", "nan", "-NaN", "+nan", "INF",
+        "inf",
+        "-inf",
+        "+inf",
+        "infinity",
+        "-infinity",
+        "NaN",
+        "nan",
+        "-NaN",
+        "+nan",
+        "INF",
         "Infinity",
     ] {
         assert_bit_exact(s);
     }
     for s in [
-        "", " ", ".", "+", "-", "e", "e5", "1e", "1e+", "1e-", "1..2", "1.2.3", "0x1p3",
-        "0b101", "1_000", "--1", "++1", "1f64", "1.5 ", " 1.5", "1,5", "NaN(payload)",
-        "12e999999999999999999999", "-.e3",
+        "",
+        " ",
+        ".",
+        "+",
+        "-",
+        "e",
+        "e5",
+        "1e",
+        "1e+",
+        "1e-",
+        "1..2",
+        "1.2.3",
+        "0x1p3",
+        "0b101",
+        "1_000",
+        "--1",
+        "++1",
+        "1f64",
+        "1.5 ",
+        " 1.5",
+        "1,5",
+        "NaN(payload)",
+        "12e999999999999999999999",
+        "-.e3",
     ] {
         assert_bit_exact(s);
     }

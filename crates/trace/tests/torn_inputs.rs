@@ -12,7 +12,9 @@ use hpcpower_trace::csv::{
 use hpcpower_trace::dataset::SystemSample;
 use hpcpower_trace::repair::{repair, RepairConfig, RepairPolicy};
 use hpcpower_trace::validate;
-use hpcpower_trace::{AppId, JobId, JobPowerSummary, JobRecord, SystemSpec, TraceDataset, TraceError, UserId};
+use hpcpower_trace::{
+    AppId, JobId, JobPowerSummary, JobRecord, SystemSpec, TraceDataset, TraceError, UserId,
+};
 
 /// A small, internally consistent jobs table: `n` ten-minute jobs on
 /// two nodes each, energy matching power × nodes × runtime.
@@ -92,7 +94,11 @@ fn lenient_mode_quarantines_the_torn_jobs_row_and_keeps_the_rest() {
     let table = read_jobs_with(BufReader::new(torn.as_bytes()), ParseOptions::lenient(10))
         .expect("lenient parse recovers");
     assert_eq!(table.jobs.len(), 19, "every whole row survives");
-    assert_eq!(table.quarantined.len(), 1, "exactly the torn row is refused");
+    assert_eq!(
+        table.quarantined.len(),
+        1,
+        "exactly the torn row is refused"
+    );
     assert_eq!(table.quarantined[0].line, 21);
 }
 
@@ -114,10 +120,17 @@ fn garbage_spliced_mid_file_is_quarantined_not_fatal() {
     lines.insert(7, "6,1,\u{0}\u{0}garbage");
     lines.insert(8, "99999");
     let spliced = lines.join("\n");
-    let table = read_jobs_with(BufReader::new(spliced.as_bytes()), ParseOptions::lenient(10))
-        .expect("lenient parse recovers");
+    let table = read_jobs_with(
+        BufReader::new(spliced.as_bytes()),
+        ParseOptions::lenient(10),
+    )
+    .expect("lenient parse recovers");
     assert_eq!(table.jobs.len(), 12, "all real rows survive the splice");
-    assert_eq!(table.quarantined.len(), 2, "both garbage fragments quarantined");
+    assert_eq!(
+        table.quarantined.len(),
+        2,
+        "both garbage fragments quarantined"
+    );
 }
 
 #[test]
@@ -129,7 +142,11 @@ fn error_budget_bounds_how_much_tearing_is_tolerated() {
     }
     let torn = lines.join("\n");
     match read_jobs_with(BufReader::new(torn.as_bytes()), ParseOptions::lenient(2)) {
-        Err(TraceError::ErrorBudgetExceeded { quarantined, budget, .. }) => {
+        Err(TraceError::ErrorBudgetExceeded {
+            quarantined,
+            budget,
+            ..
+        }) => {
             assert_eq!(budget, 2);
             assert!(quarantined > budget);
         }
@@ -167,13 +184,19 @@ fn torn_tables_repair_to_a_valid_dataset_idempotently() {
     let mut cfg = RepairConfig::with_policy(RepairPolicy::DropJob);
     cfg.rows_quarantined = quarantined as u64;
     let quality = repair(&mut dataset, &cfg);
-    assert_eq!(quality.rows_quarantined, 2, "report carries the ingestion context");
+    assert_eq!(
+        quality.rows_quarantined, 2,
+        "report carries the ingestion context"
+    );
     assert_eq!(quality.violations_after, 0);
     validate::validate(&dataset).expect("repaired dataset validates");
 
     // Idempotence: a second pass over the repaired dataset has nothing
     // left to fix.
-    let again = repair(&mut dataset, &RepairConfig::with_policy(RepairPolicy::DropJob));
+    let again = repair(
+        &mut dataset,
+        &RepairConfig::with_policy(RepairPolicy::DropJob),
+    );
     assert!(
         again.is_clean(),
         "second repair must be a no-op, found: {again:?}"

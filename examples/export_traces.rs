@@ -20,10 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|| "hpc-power-traces".to_string())
         .into();
 
-    for cfg in [
-        SimConfig::emmy_small(2020),
-        SimConfig::meggie_small(2020),
-    ] {
+    for cfg in [SimConfig::emmy_small(2020), SimConfig::meggie_small(2020)] {
         let name = cfg.system.name.clone();
         eprintln!("simulating {name}...");
         let dataset = simulate(cfg);
@@ -53,10 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Round-trip check: what we wrote is what a consumer reads.
         let reread = json::load_dataset(&dir.join("dataset.json"))?;
-        assert_eq!(reread.jobs, dataset.jobs, "JSON round trip must be lossless");
-        let (jobs2, summaries2) = csv::read_jobs(std::io::BufReader::new(File::open(
-            dir.join("jobs.csv"),
-        )?))?;
+        assert_eq!(
+            reread.jobs, dataset.jobs,
+            "JSON round trip must be lossless"
+        );
+        let (jobs2, summaries2) =
+            csv::read_jobs(std::io::BufReader::new(File::open(dir.join("jobs.csv"))?))?;
         assert_eq!(jobs2.len(), dataset.jobs.len());
         assert_eq!(summaries2.len(), dataset.summaries.len());
     }

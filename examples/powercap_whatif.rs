@@ -28,9 +28,7 @@ fn main() {
 
         println!(
             "{} — {} jobs, node TDP {} W",
-            dataset.system.name,
-            analysis.jobs,
-            dataset.system.node_tdp_w
+            dataset.system.name, analysis.jobs, dataset.system.node_tdp_w
         );
         println!("  margin   jobs ever above cap   provisioned power saved");
         for o in &analysis.outcomes {

@@ -12,7 +12,11 @@ use hpcpower_sim::{simulate, SimConfig};
 
 fn main() {
     let dataset = simulate(SimConfig::emmy_small(7));
-    println!("trace: {} jobs from {} users\n", dataset.len(), dataset.user_count);
+    println!(
+        "trace: {} jobs from {} users\n",
+        dataset.len(),
+        dataset.user_count
+    );
 
     // The paper's protocol: 10 random 80/20 splits, validation users
     // always covered in training.

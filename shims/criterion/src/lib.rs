@@ -46,9 +46,8 @@ pub struct Bencher {
 /// panics and API rot without paying full sampling time.
 fn target_time() -> Duration {
     static QUICK: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    let quick = *QUICK.get_or_init(|| {
-        std::env::var("CRITERION_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
-    });
+    let quick = *QUICK
+        .get_or_init(|| std::env::var("CRITERION_QUICK").is_ok_and(|v| v != "0" && !v.is_empty()));
     if quick {
         Duration::from_millis(10)
     } else {

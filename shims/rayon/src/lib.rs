@@ -312,7 +312,10 @@ mod tests {
     fn map_preserves_order_across_thread_counts() {
         let serial: Vec<u64> = (0..1000u64).into_par_iter().map(|x| x * 3).collect();
         for threads in [1, 2, 3, 8] {
-            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
             let parallel: Vec<u64> =
                 pool.install(|| (0..1000u64).into_par_iter().map(|x| x * 3).collect());
             assert_eq!(serial, parallel, "threads={threads}");
@@ -347,7 +350,10 @@ mod tests {
     fn map_init_matches_map_and_reuses_state_per_worker() {
         let serial: Vec<u64> = (0..500u64).into_par_iter().map(|x| x * 7 + 1).collect();
         for threads in [1, 2, 4] {
-            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
             let out: Vec<u64> = pool.install(|| {
                 (0..500u64)
                     .into_par_iter()

@@ -293,9 +293,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                             .filter(|f| !f.skip)
                             .map(|f| f.name.as_str())
                             .collect();
-                        let mut inner = format!(
-                            "w.begin_object(); w.key(\"{v}\"); w.begin_object();"
-                        );
+                        let mut inner =
+                            format!("w.begin_object(); w.key(\"{v}\"); w.begin_object();");
                         for n in &pat {
                             inner.push_str(&format!(
                                 "w.key(\"{n}\"); ::serde::Serialize::serialize_json({n}, w);"
@@ -304,10 +303,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         inner.push_str("w.end_object(); w.end_object();");
                         arms.push_str(&format!(
                             "{name}::{v} {{ {fields_pat} .. }} => {{ {inner} }},",
-                            fields_pat = pat
-                                .iter()
-                                .map(|n| format!("{n},"))
-                                .collect::<String>()
+                            fields_pat = pat.iter().map(|n| format!("{n},")).collect::<String>()
                         ));
                     }
                 }

@@ -6,8 +6,8 @@
 //! regression that would flip a qualitative finding. EXPERIMENTS.md
 //! records the full-scale numbers.
 
-use hpcpower::prelude::*;
 use hpcpower::prediction::PredictionConfig;
+use hpcpower::prelude::*;
 use hpcpower_sim::{simulate, SimConfig};
 use hpcpower_trace::TraceDataset;
 
@@ -43,8 +43,16 @@ fn fig1_fig2_system_and_power_utilization() {
     assert_band(ms.power.mean, 0.45, 0.62, "Meggie power utilization");
     // The headline: >30% stranded power on both systems, and power
     // utilization always lags system utilization.
-    assert!(es.stranded_fraction > 0.24, "Emmy stranded {}", es.stranded_fraction);
-    assert!(ms.stranded_fraction > 0.34, "Meggie stranded {}", ms.stranded_fraction);
+    assert!(
+        es.stranded_fraction > 0.24,
+        "Emmy stranded {}",
+        es.stranded_fraction
+    );
+    assert!(
+        ms.stranded_fraction > 0.34,
+        "Meggie stranded {}",
+        ms.stranded_fraction
+    );
     assert!(es.power.mean < es.utilization.mean);
     assert!(ms.power.mean < ms.utilization.mean);
     // Emmy is the busier, more power-hungry system.
@@ -105,8 +113,14 @@ fn table2_correlation_structure() {
     assert_band(te.size_power.r, 0.00, 0.48, "Emmy size rho");
     assert_band(tm.length_power.r, -0.10, 0.32, "Meggie runtime rho");
     assert_band(tm.size_power.r, 0.20, 0.65, "Meggie size rho");
-    assert!(te.length_power.r > te.size_power.r, "Emmy: runtime dominates");
-    assert!(tm.size_power.r > tm.length_power.r, "Meggie: size dominates");
+    assert!(
+        te.length_power.r > te.size_power.r,
+        "Emmy: runtime dominates"
+    );
+    assert!(
+        tm.size_power.r > tm.length_power.r,
+        "Meggie: size dominates"
+    );
     // The strong correlations are unambiguously significant (the paper
     // reports p = 0.00 for them; Meggie's runtime rho is the weak one).
     for c in [te.length_power, te.size_power, tm.size_power] {
@@ -119,8 +133,16 @@ fn fig5_split_analysis() {
     for d in [emmy(), meggie()] {
         let s = job_level::split_analysis(&d).unwrap();
         // Longer and larger jobs draw more per-node power...
-        assert!(s.long.mean > s.short.mean, "{}: long > short", d.system.name);
-        assert!(s.large.mean > s.small.mean, "{}: large > small", d.system.name);
+        assert!(
+            s.long.mean > s.short.mean,
+            "{}: long > short",
+            d.system.name
+        );
+        assert!(
+            s.large.mean > s.small.mean,
+            "{}: large > small",
+            d.system.name
+        );
         // ...and are more homogeneous (lower standard deviation; a small
         // tolerance absorbs population sampling noise at test scale).
         assert!(
@@ -214,8 +236,16 @@ fn fig12_per_user_variability() {
     // Users are NOT monotonous: double-digit per-user power CV on both
     // systems (paper reports 50%/100%; the physically bounded simulator
     // reaches the 20-40% range — see EXPERIMENTS.md).
-    assert!(ve.power_cv.stats.mean > 0.12, "Emmy user CV {}", ve.power_cv.stats.mean);
-    assert!(vm.power_cv.stats.mean > 0.12, "Meggie user CV {}", vm.power_cv.stats.mean);
+    assert!(
+        ve.power_cv.stats.mean > 0.12,
+        "Emmy user CV {}",
+        ve.power_cv.stats.mean
+    );
+    assert!(
+        vm.power_cv.stats.mean > 0.12,
+        "Meggie user CV {}",
+        vm.power_cv.stats.mean
+    );
     // Node-count and runtime variability in the paper's ballpark.
     assert_band(ve.mean_nodes_cv, 0.15, 0.70, "Emmy nodes CV");
     assert_band(vm.mean_nodes_cv, 0.25, 0.95, "Meggie nodes CV");
@@ -226,7 +256,10 @@ fn fig12_per_user_variability() {
 #[test]
 fn fig13_cluster_tightness() {
     for d in [emmy(), meggie()] {
-        for by in [user_level::ClusterBy::Nodes, user_level::ClusterBy::Walltime] {
+        for by in [
+            user_level::ClusterBy::Nodes,
+            user_level::ClusterBy::Walltime,
+        ] {
             let t = user_level::cluster_tightness(&d, by, 2).unwrap();
             // Paper (Emmy, by nodes): 61.7% of clusters under 10% CV.
             // Clustering by (user, nodes/walltime) collapses most of the

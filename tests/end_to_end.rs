@@ -135,7 +135,9 @@ fn report_renders_for_both_systems() {
         ..Default::default()
     };
     let text = hpcpower::report::render_pair(&emmy, &meggie, &cfg);
-    for needle in ["Fig. 3", "Fig. 4", "Fig. 7", "Fig. 11", "Fig. 14", "Table 2"] {
+    for needle in [
+        "Fig. 3", "Fig. 4", "Fig. 7", "Fig. 11", "Fig. 14", "Table 2",
+    ] {
         assert!(text.contains(needle), "report missing {needle}");
     }
     assert!(text.contains(&emmy.system.name));
