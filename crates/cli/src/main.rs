@@ -40,7 +40,7 @@ use hpcpower_sim::{
 };
 use hpcpower_trace::csv::ParseOptions;
 use hpcpower_trace::json::Sections;
-use hpcpower_trace::recover::{atomic_write_retry, RealFs};
+use hpcpower_trace::recover::{atomic_write_retry_with, Producer, RealFs};
 use hpcpower_trace::repair::{repair, RepairConfig, RepairPolicy};
 use hpcpower_trace::{csv, json, validate, SystemSpec, TraceDataset};
 
@@ -361,27 +361,24 @@ fn write_simulate_outputs(
         .unwrap_or_else(|| PathBuf::from(default_out));
     std::fs::create_dir_all(&out)
         .map_err(|e| CliError::io(format!("cannot create {}: {e}", out.display())))?;
-    let (jobs_csv, system_csv) = hpcpower_obs::time("simulate.encode.csv", || {
-        let (mut jobs_csv, mut system_csv) = (Vec::new(), Vec::new());
-        csv::write_jobs(&mut jobs_csv, &dataset.jobs, &dataset.summaries)?;
-        csv::write_system(&mut system_csv, &dataset.system_series)?;
-        Ok::<_, hpcpower_trace::TraceError>((jobs_csv, system_csv))
-    })
-    .map_err(CliError::io)?;
-    let mut dataset_json = Vec::new();
-    hpcpower_obs::time("simulate.encode.json", || {
-        json::write_dataset(&mut dataset_json, &dataset)
-    })
-    .map_err(CliError::io)?;
-    let artifacts = [
-        ("jobs.csv", jobs_csv),
-        ("system.csv", system_csv),
-        ("dataset.json", dataset_json),
-    ];
+    // Each artifact is encoded straight into its temp file, so its span
+    // times the encode and the write together.
     hpcpower_obs::time("simulate.publish", || {
-        artifacts
-            .iter()
-            .try_for_each(|(name, bytes)| publish(&out.join(name), bytes))
+        hpcpower_obs::time("simulate.publish.jobs_csv", || {
+            publish(&out.join("jobs.csv"), &mut |mut w| {
+                Ok(csv::write_jobs(&mut w, &dataset.jobs, &dataset.summaries)?)
+            })
+        })?;
+        hpcpower_obs::time("simulate.publish.system_csv", || {
+            publish(&out.join("system.csv"), &mut |mut w| {
+                Ok(csv::write_system(&mut w, &dataset.system_series)?)
+            })
+        })?;
+        hpcpower_obs::time("simulate.publish.dataset_json", || {
+            publish(&out.join("dataset.json"), &mut |w| {
+                Ok(json::write_dataset(w, &dataset)?)
+            })
+        })
     })?;
     outln!(
         "{}: {} jobs, {} instrumented series -> {}",
@@ -392,10 +389,11 @@ fn write_simulate_outputs(
     )
 }
 
-/// Durably publishes one output artifact: atomic temp+fsync+rename with
-/// a manifest sidecar, retrying transient I/O errors with backoff.
-fn publish(path: &Path, bytes: &[u8]) -> Result<(), CliError> {
-    atomic_write_retry(&RealFs, path, bytes, &RetryPolicy::default())
+/// Durably publishes one output artifact that `produce` writes straight
+/// into its temp file: atomic temp+fsync+rename with a manifest
+/// sidecar, retrying transient I/O errors with backoff.
+fn publish(path: &Path, produce: &mut Producer<'_>) -> Result<(), CliError> {
+    atomic_write_retry_with(&RealFs, path, produce, &RetryPolicy::default())
         .map_err(|e| CliError::io(format!("cannot write {}: {e}", path.display())))
 }
 
@@ -518,11 +516,13 @@ fn cmd_ingest(args: &Args) -> Result<(), CliError> {
         let out = PathBuf::from(out);
         std::fs::create_dir_all(&out)
             .map_err(|e| CliError::io(format!("cannot create {}: {e}", out.display())))?;
-        let mut dataset_json = Vec::new();
-        json::write_dataset(&mut dataset_json, &dataset).map_err(CliError::io)?;
-        publish(&out.join("dataset.json"), &dataset_json)?;
+        publish(&out.join("dataset.json"), &mut |w| {
+            Ok(json::write_dataset(w, &dataset)?)
+        })?;
         let quality_json = serde_json::to_string_pretty(&quality).map_err(|e| e.to_string())?;
-        publish(&out.join("quality.json"), quality_json.as_bytes())?;
+        publish(&out.join("quality.json"), &mut |w| {
+            w.write_all(quality_json.as_bytes())
+        })?;
     }
     if args.has("json") {
         let text = serde_json::to_string_pretty(&quality).map_err(|e| e.to_string())?;

@@ -15,7 +15,8 @@
 //! asks its model once per distinct triple and reuses the answer for
 //! the rows that repeat it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rayon::prelude::*;
 
@@ -149,12 +150,43 @@ where
     }
 }
 
+/// Hashes a memo key, `(user, nodes bits, walltime bits)`, with one
+/// multiply per word and a final mix, so that keys differing only in
+/// the high bits of a float still spread. Fixed and cheap, not
+/// collision-resistant: the keys come from the dataset, and the memo is
+/// only looked up, never iterated, so no output depends on its order.
+#[derive(Default)]
+struct TripleHasher(u64);
+
+impl Hasher for TripleHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(32) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The MurmurHash3 finalizer.
+        let mut h = self.0;
+        h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
 /// Scores the validation rows `val_idx` of one split in order, skipping
 /// zero targets. A prediction depends only on the model and the triple,
 /// so a memo keyed by the triple's bits answers every repeat; errors are
 /// still pushed and summed row by row, in validation order.
 fn score_split<M: Regressor>(data: &Dataset, val_idx: &[usize], model: &M) -> SplitScore {
-    let mut memo: BTreeMap<(u32, u64, u64), f64> = BTreeMap::new();
+    let mut memo: HashMap<(u32, u64, u64), f64, BuildHasherDefault<TripleHasher>> =
+        HashMap::default();
     let mut errors = Vec::with_capacity(val_idx.len());
     let mut per_user: HashMap<u32, (f64, u32)> = HashMap::new();
     for &i in val_idx {

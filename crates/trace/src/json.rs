@@ -7,6 +7,11 @@
 //! A reader that needs only some sections decodes just those
 //! ([`Sections`]); the rest of the document is checked for JSON syntax
 //! and nothing else, which costs a scan of its bytes.
+//!
+//! Reads stream: the decoder pulls the file through a window of
+//! [`serde::json::READ_WINDOW`] bytes, so a load holds the decoded
+//! sections and never the whole text. Writes stream too
+//! ([`write_dataset`] hands the text to its writer in chunks).
 
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
@@ -92,18 +97,27 @@ impl From<PredictionInput> for TraceDataset {
 }
 
 /// Decodes `sections` of one dataset document.
-fn decode(text: &str, sections: Sections) -> Result<TraceDataset> {
+fn decode<R: Read>(r: R, sections: Sections) -> Result<TraceDataset> {
     match sections {
-        Sections::All => serde_json::from_str(text),
-        Sections::Analysis => serde_json::from_str::<AnalysisInput>(text).map(Into::into),
-        Sections::Prediction => serde_json::from_str::<PredictionInput>(text).map(Into::into),
+        Sections::All => serde_json::from_reader(r),
+        Sections::Analysis => serde_json::from_reader::<_, AnalysisInput>(r).map(Into::into),
+        Sections::Prediction => serde_json::from_reader::<_, PredictionInput>(r).map(Into::into),
     }
-    .map_err(|e| TraceError::Invalid(e.to_string()))
+    .map_err(trace_error)
+}
+
+/// An I/O error stays one (unreadable or non-UTF-8 input, a failing
+/// writer); anything else is an invalid dataset.
+fn trace_error(e: serde_json::Error) -> TraceError {
+    match e.io_error_kind() {
+        Some(_) => TraceError::Io(e.into()),
+        None => TraceError::Invalid(e.to_string()),
+    }
 }
 
 /// Serializes a dataset to a JSON writer.
 pub fn write_dataset<W: Write>(w: W, dataset: &TraceDataset) -> Result<()> {
-    serde_json::to_writer(w, dataset).map_err(|e| TraceError::Invalid(e.to_string()))
+    serde_json::to_writer(w, dataset).map_err(trace_error)
 }
 
 /// Deserializes a dataset from a JSON reader.
@@ -111,11 +125,11 @@ pub fn read_dataset<R: Read>(r: R) -> Result<TraceDataset> {
     read_sections(r, Sections::All)
 }
 
-/// Deserializes `sections` of a dataset from a JSON reader.
-pub fn read_sections<R: Read>(mut r: R, sections: Sections) -> Result<TraceDataset> {
-    let mut text = String::new();
-    r.read_to_string(&mut text)?;
-    decode(&text, sections)
+/// Deserializes `sections` of a dataset from a JSON reader. Input that
+/// cannot be read or is not UTF-8 is a [`TraceError::Io`] wherever it
+/// lies, skipped sections included.
+pub fn read_sections<R: Read>(r: R, sections: Sections) -> Result<TraceDataset> {
+    decode(r, sections)
 }
 
 /// Writes a dataset to a JSON file.
@@ -131,20 +145,21 @@ pub fn load_dataset(path: &Path) -> Result<TraceDataset> {
 
 /// Reads `sections` of a dataset from a JSON file.
 ///
-/// The analyze/report load path: the file is read **once** into a
-/// single buffer (the same single-read discipline as the
-/// [`crate::ingest`] engine) and decoded from memory, with
+/// The analyze/report load path: the file is decoded as it is read,
+/// through the decoder's fixed window (see [`read_sections`]), so the
+/// load's memory is the decoded sections and not the file's size, with
 /// `trace.ingest.*` byte/throughput telemetry recorded when the obs
 /// gate is on.
 pub fn load_sections(path: &Path, sections: Sections) -> Result<TraceDataset> {
     hpcpower_obs::time("trace.ingest.dataset_json", || {
         let started = std::time::Instant::now();
-        let text = std::fs::read_to_string(path)?;
-        let dataset = decode(&text, sections)?;
-        hpcpower_obs::counter_add("trace.ingest.bytes", text.len() as u64);
+        let file = std::fs::File::open(path)?;
+        let bytes = file.metadata()?.len();
+        let dataset = decode(file, sections)?;
+        hpcpower_obs::counter_add("trace.ingest.bytes", bytes);
         let secs = started.elapsed().as_secs_f64();
         if secs > 0.0 {
-            hpcpower_obs::gauge_set("trace.ingest.bytes_per_s", text.len() as f64 / secs);
+            hpcpower_obs::gauge_set("trace.ingest.bytes_per_s", bytes as f64 / secs);
         }
         Ok(dataset)
     })

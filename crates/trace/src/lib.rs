@@ -153,5 +153,16 @@ impl From<std::io::Error> for TraceError {
     }
 }
 
+/// An I/O error comes back out as itself, so an encoder can run as a
+/// [`recover::Producer`]; any other error becomes `InvalidData`.
+impl From<TraceError> for std::io::Error {
+    fn from(e: TraceError) -> Self {
+        match e {
+            TraceError::Io(e) => e,
+            other => std::io::Error::new(std::io::ErrorKind::InvalidData, other),
+        }
+    }
+}
+
 /// Convenience alias for trace results.
 pub type Result<T> = std::result::Result<T, TraceError>;

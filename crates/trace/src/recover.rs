@@ -7,17 +7,18 @@
 //! downstream tools may silently mis-read it. This module provides the
 //! one write discipline the whole workspace uses:
 //!
-//! 1. **Atomic publish** — [`atomic_write`] writes to `<file>.tmp`,
-//!    fsyncs, renames over the target, and fsyncs the directory. A
-//!    crash at any point leaves either the old content or the new —
-//!    never a mix — plus at most a stray `.tmp` that [`scan_dir`]
-//!    deletes on the next startup.
+//! 1. **Atomic publish** — [`atomic_write_with`] has a producer write
+//!    the artifact straight into `<file>.tmp`, fsyncs, renames over the
+//!    target, and fsyncs the directory. A crash at any point leaves
+//!    either the old content or the new — never a mix — plus at most a
+//!    stray `.tmp` that [`scan_dir`] deletes on the next startup.
+//!    [`atomic_write`] publishes bytes already in memory.
 //! 2. **Completion manifest** — after the data rename, a sidecar
 //!    `<file>.manifest.json` is written (itself atomically) recording
-//!    the byte length and FNV-1a 64 content hash. *Manifest present
-//!    and matching ⇒ artifact complete.* A file without a valid
-//!    manifest is **torn** by definition and must be quarantined, not
-//!    read.
+//!    the byte length and FNV-1a 64 content hash, both taken from the
+//!    bytes as the producer wrote them. *Manifest present and matching
+//!    ⇒ artifact complete.* A file without a valid manifest is **torn**
+//!    by definition and must be quarantined, not read.
 //! 3. **Quarantine** — [`verify`] classifies an artifact as
 //!    [`ArtifactState::Verified`] / `Missing` / `Torn`; [`quarantine`]
 //!    renames a torn artifact (and its manifest, if any) to `*.torn`
@@ -37,7 +38,7 @@
 //! [`atomic_write_retry`] re-runs a transiently failed publish.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, BufWriter, Read as _, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -56,7 +57,12 @@ pub const TORN_SUFFIX: &str = ".torn";
 /// detect truncation/corruption (this is an integrity check against
 /// crashes, not an adversary).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a 64 `hash` over `bytes`: hashing in pieces gives
+/// the hash of the whole.
+fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -79,11 +85,50 @@ pub struct Manifest {
 impl Manifest {
     /// The manifest describing `bytes`.
     pub fn for_bytes(bytes: &[u8]) -> Self {
+        Self::of(bytes.len() as u64, fnv1a64(bytes))
+    }
+
+    fn of(len: u64, hash: u64) -> Self {
         Self {
-            len: bytes.len() as u64,
-            fnv64: format!("{:016x}", fnv1a64(bytes)),
+            len,
+            fnv64: format!("{hash:016x}"),
             complete: true,
         }
+    }
+}
+
+/// Passes writes on to `inner` and hashes what it accepted, so the
+/// manifest of a streamed artifact needs no second read.
+struct Hashing<W> {
+    inner: W,
+    len: u64,
+    hash: u64,
+}
+
+impl<W: Write> Hashing<W> {
+    fn new(inner: W) -> Self {
+        Self {
+            inner,
+            len: 0,
+            hash: fnv1a64(b""),
+        }
+    }
+
+    fn manifest(&self) -> Manifest {
+        Manifest::of(self.len, self.hash)
+    }
+}
+
+impl<W: Write> Write for Hashing<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.len += n as u64;
+        self.hash = fnv1a64_extend(self.hash, &buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
     }
 }
 
@@ -105,14 +150,19 @@ fn sibling_with_suffix(path: &Path, suffix: &str) -> PathBuf {
 // The injectable filesystem
 // ---------------------------------------------------------------------------
 
+/// Writes the bytes of one artifact into the writer it is given; an
+/// atomic write calls it once per attempt.
+pub type Producer<'p> = dyn FnMut(&mut dyn Write) -> io::Result<()> + 'p;
+
 /// The mutation surface of the recovery layer. Production uses
 /// [`RealFs`]; chaos tests use [`ChaosFs`] to inject faults at exact
 /// operation indices. Reads are deliberately *not* on the trait —
 /// verification reads plain `std::fs`, because a torn read manifests
 /// as a hash mismatch, which the manifest already catches.
 pub trait Fs: std::fmt::Debug + Send + Sync {
-    /// Creates/truncates `path`, writes `bytes`, and fsyncs the file.
-    fn write_file_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
+    /// Creates/truncates `path`, has `produce` write the file's bytes,
+    /// and fsyncs the file.
+    fn write_file_sync(&self, path: &Path, produce: &mut Producer<'_>) -> io::Result<()>;
     /// Appends `bytes` to `path` (creating it if needed) and fsyncs —
     /// the journal primitive; callers pass whole lines.
     fn append_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
@@ -129,9 +179,9 @@ pub trait Fs: std::fmt::Debug + Send + Sync {
 pub struct RealFs;
 
 impl Fs for RealFs {
-    fn write_file_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    fn write_file_sync(&self, path: &Path, produce: &mut Producer<'_>) -> io::Result<()> {
         let mut f = File::create(path)?;
-        f.write_all(bytes)?;
+        produce(&mut f)?;
         f.sync_all()
     }
 
@@ -242,9 +292,16 @@ fn enospc() -> io::Error {
 }
 
 impl Fs for ChaosFs {
-    fn write_file_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        match self.next_op() {
-            None => self.inner.write_file_sync(path, bytes),
+    /// Buffers what `produce` writes, then applies the fault to those
+    /// bytes.
+    fn write_file_sync(&self, path: &Path, produce: &mut Producer<'_>) -> io::Result<()> {
+        let fault = self.next_op();
+        let mut bytes = Vec::new();
+        produce(&mut bytes)?;
+        match fault {
+            None => self
+                .inner
+                .write_file_sync(path, &mut |w| w.write_all(&bytes)),
             Some(FaultKind::Enospc) => Err(enospc()),
             Some(FaultKind::ShortWrite) => {
                 // Land a prefix on disk, then report failure: exactly
@@ -260,7 +317,7 @@ impl Fs for ChaosFs {
             }
             Some(FaultKind::FsyncFail) => {
                 let mut f = File::create(path)?;
-                f.write_all(bytes)?;
+                f.write_all(&bytes)?;
                 Err(io::Error::other("injected fsync failure"))
             }
         }
@@ -315,21 +372,49 @@ impl Fs for ChaosFs {
 // Atomic publish
 // ---------------------------------------------------------------------------
 
-/// Durably publishes `bytes` as `path` with a completion manifest:
-/// write `<path>.tmp` + fsync → rename over `path` → fsync dir →
-/// write `<path>.manifest.json` (atomically, same discipline).
+/// Bytes a producer's writes are gathered into before they reach the
+/// hash and the file.
+const WRITE_BUFFER: usize = 64 * 1024;
+
+/// [`atomic_write_with`] of `bytes`.
+pub fn atomic_write(fs: &dyn Fs, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    atomic_write_with(fs, path, &mut |w| w.write_all(bytes))
+}
+
+/// Durably publishes what `produce` writes as `path`, with a completion
+/// manifest: `produce` writes straight into `<path>.tmp` (through a
+/// small buffer, so the artifact is never whole in memory) + fsync →
+/// rename over `path` → fsync dir → write `<path>.manifest.json`
+/// (atomically, same discipline). The manifest's length and hash are
+/// those of the bytes as they went by.
 ///
 /// Crash-window guarantees, by interruption point:
 /// - before the data rename: `path` is untouched; at most a stray
-///   `.tmp` remains ([`scan_dir`] deletes it);
+///   `.tmp` remains ([`scan_dir`] deletes it). If `produce` itself
+///   fails, its `.tmp` is removed (best effort);
 /// - after the data rename, before the manifest lands: `path` has the
 ///   full new content but no (or a stale) manifest — [`verify`]
 ///   reports it torn and a recovery pass quarantines and redoes it;
 /// - after the manifest rename: the artifact is complete and verified.
-pub fn atomic_write(fs: &dyn Fs, path: &Path, bytes: &[u8]) -> io::Result<()> {
+pub fn atomic_write_with(fs: &dyn Fs, path: &Path, produce: &mut Producer<'_>) -> io::Result<()> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let tmp = sibling_with_suffix(path, TMP_SUFFIX);
-    fs.write_file_sync(&tmp, bytes)?;
+    let (mut digest, mut produce_failed) = (None, false);
+    let staged = fs.write_file_sync(&tmp, &mut |sink| {
+        let mut out = BufWriter::with_capacity(WRITE_BUFFER, Hashing::new(sink));
+        let produced = produce(&mut out).and_then(|()| out.flush());
+        produce_failed = produced.is_err();
+        produced?;
+        digest = Some(out.get_ref().manifest());
+        Ok(())
+    });
+    if let Err(e) = staged {
+        if produce_failed {
+            let _ = fs.remove_file(&tmp);
+        }
+        return Err(e);
+    }
+    let digest = digest.ok_or_else(|| io::Error::other("the file system wrote no bytes"))?;
     fs.rename(&tmp, path)?;
     if let Some(dir) = dir {
         fs.sync_dir(dir)?;
@@ -337,9 +422,9 @@ pub fn atomic_write(fs: &dyn Fs, path: &Path, bytes: &[u8]) -> io::Result<()> {
     // Manifest second: its presence asserts the data above is whole.
     let manifest = manifest_path(path);
     let manifest_tmp = sibling_with_suffix(&manifest, TMP_SUFFIX);
-    let body = serde_json::to_string(&Manifest::for_bytes(bytes))
+    let body = serde_json::to_string(&digest)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    fs.write_file_sync(&manifest_tmp, body.as_bytes())?;
+    fs.write_file_sync(&manifest_tmp, &mut |w| w.write_all(body.as_bytes()))?;
     fs.rename(&manifest_tmp, &manifest)?;
     if let Some(dir) = dir {
         fs.sync_dir(dir)?;
@@ -348,17 +433,28 @@ pub fn atomic_write(fs: &dyn Fs, path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// [`atomic_write`] under the shared bounded-retry policy: transient
-/// errors (interrupted syscalls, timeouts) are retried with backoff;
-/// permanent ones (ENOSPC, permission denied) fail immediately.
+/// [`atomic_write_retry_with`] of `bytes`.
 pub fn atomic_write_retry(
     fs: &dyn Fs,
     path: &Path,
     bytes: &[u8],
     policy: &RetryPolicy,
 ) -> io::Result<()> {
+    atomic_write_retry_with(fs, path, &mut |w| w.write_all(bytes), policy)
+}
+
+/// [`atomic_write_with`] under the shared bounded-retry policy:
+/// transient errors (interrupted syscalls, timeouts) are retried with
+/// backoff, each attempt running `produce` again; permanent ones
+/// (ENOSPC, permission denied) fail immediately.
+pub fn atomic_write_retry_with(
+    fs: &dyn Fs,
+    path: &Path,
+    produce: &mut Producer<'_>,
+    policy: &RetryPolicy,
+) -> io::Result<()> {
     let salt = fnv1a64(path.to_string_lossy().as_bytes());
-    retry_io(policy, salt, |_| atomic_write(fs, path, bytes))
+    retry_io(policy, salt, |_| atomic_write_with(fs, path, produce))
 }
 
 // ---------------------------------------------------------------------------
@@ -693,6 +789,74 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn streamed_manifest_is_that_of_the_bytes() {
+        let dir = tmpdir("streamed");
+        let path = dir.join("artifact.csv");
+        let rows: Vec<String> = (0..20_000).map(|i| format!("{i},{}\n", i * 7)).collect();
+        atomic_write_with(&RealFs, &path, &mut |w| {
+            rows.iter().try_for_each(|row| w.write_all(row.as_bytes()))
+        })
+        .unwrap();
+        let bytes = rows.concat().into_bytes();
+        assert!(bytes.len() > 2 * WRITE_BUFFER);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        assert_eq!(
+            verify(&path),
+            ArtifactState::Verified(Manifest::for_bytes(&bytes))
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failing_producer_publishes_nothing() {
+        let dir = tmpdir("producer-fails");
+        let path = dir.join("artifact.json");
+        for fs in [
+            &RealFs as &dyn Fs,
+            &ChaosFs::new(FaultKind::Enospc, u64::MAX, false),
+        ] {
+            let err = atomic_write_with(fs, &path, &mut |w| {
+                w.write_all(&[b'x'; 3 * WRITE_BUFFER])?;
+                Err(io::Error::other("encoder failed"))
+            })
+            .unwrap_err();
+            assert!(err.to_string().contains("encoder failed"), "{err}");
+            assert_eq!(verify(&path), ArtifactState::Missing);
+            assert!(!sibling_with_suffix(&path, TMP_SUFFIX).exists());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_retry_runs_the_producer_again() {
+        let dir = tmpdir("retry-producer");
+        let path = dir.join("artifact.bin");
+        let policy = RetryPolicy {
+            base_delay: std::time::Duration::ZERO,
+            ..RetryPolicy::default()
+        };
+        let mut calls = 0;
+        atomic_write_retry_with(
+            &RealFs,
+            &path,
+            &mut |w| {
+                calls += 1;
+                w.write_all(b"partial")?;
+                if calls == 1 {
+                    return Err(io::Error::from(io::ErrorKind::Interrupted));
+                }
+                w.write_all(b" and whole")
+            },
+            &policy,
+        )
+        .unwrap();
+        assert_eq!(calls, 2);
+        assert_eq!(std::fs::read(&path).unwrap(), b"partial and whole");
+        assert!(matches!(verify(&path), ArtifactState::Verified(_)));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

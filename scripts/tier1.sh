@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 # --workspace everywhere: the root umbrella package does not depend on
 # hpcpower-cli, so a bare `cargo build --release` would leave a stale
 # ./target/release/hpcpower for the smoke runs below.
+# rustfmt's output is the only accepted layout (perfbench/ is not a
+# workspace member and is not checked).
+cargo fmt --all -- --check
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings \

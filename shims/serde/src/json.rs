@@ -145,22 +145,54 @@ impl crate::Deserialize for Value {
 #[derive(Debug, Clone)]
 pub struct Error {
     msg: String,
+    /// The kind of the I/O error this is, if it is one.
+    io: Option<io::ErrorKind>,
 }
 
 impl Error {
     /// Creates an error from a message.
     pub fn msg(msg: impl Into<String>) -> Self {
-        Self { msg: msg.into() }
+        Self {
+            msg: msg.into(),
+            io: None,
+        }
+    }
+
+    /// An error of the reader or writer underneath.
+    pub fn io(e: &io::Error) -> Self {
+        Self {
+            msg: e.to_string(),
+            io: Some(e.kind()),
+        }
+    }
+
+    /// The kind of the underlying I/O error, if this is one.
+    pub fn io_error_kind(&self) -> Option<io::ErrorKind> {
+        self.io
     }
 }
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON error: {}", self.msg)
+        match self.io {
+            Some(_) => write!(f, "JSON error: io error: {}", self.msg),
+            None => write!(f, "JSON error: {}", self.msg),
+        }
     }
 }
 
 impl std::error::Error for Error {}
+
+/// An I/O error keeps its kind and message; any other error is
+/// `InvalidData`.
+impl From<Error> for io::Error {
+    fn from(e: Error) -> Self {
+        match e.io {
+            Some(kind) => io::Error::new(kind, e.msg),
+            None => io::Error::new(io::ErrorKind::InvalidData, e),
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Writer
@@ -381,12 +413,13 @@ fn write_escaped(out: &mut String, s: &str) {
 /// anything deeper is an error instead of a stack overflow.
 pub const MAX_DEPTH: usize = 128;
 
+/// How many bytes of text a [`Reader`] over an `io::Read` holds at a
+/// time. A single token longer than this grows the window.
+pub const READ_WINDOW: usize = 256 * 1024;
+
 /// Parses a complete JSON document into a [`Value`] tree.
 pub fn parse(input: &str) -> Result<Value, Error> {
-    let mut r = Reader::new(input);
-    let v = r.value()?;
-    r.finish()?;
-    Ok(v)
+    Reader::new(input).document()
 }
 
 /// What a field absent from its object decodes to: whatever `null`
@@ -401,31 +434,90 @@ pub fn missing<T: crate::Deserialize>(ty: &str, field: &str) -> Result<T, Error>
 ///
 /// Typed decoders ask it for exactly the token they expect next — a
 /// number, a string, the entries of an object — so a document decodes
-/// in one pass with no intermediate tree, and object keys and
-/// escape-free strings are borrowed from the input. Every method skips
-/// leading whitespace and leaves the cursor just past what it read;
-/// errors carry the byte offset where decoding stopped.
-#[derive(Debug)]
+/// in one pass with no intermediate tree, and escape-free strings are
+/// borrowed from the text. Every method skips leading whitespace and
+/// leaves the cursor just past what it read; errors carry the absolute
+/// byte offset where decoding stopped.
+///
+/// The cursor scans a window of the text. Over a `&str`
+/// ([`Reader::new`]) the window is the whole text, borrowed. Over an
+/// `io::Read` ([`Reader::from_read`]) it holds about [`READ_WINDOW`]
+/// bytes: a token that runs to the window's end drops the text before
+/// it, reads more into one reusable buffer, and is scanned again. Each
+/// read is checked to be UTF-8 before it joins the window.
 pub struct Reader<'a> {
-    src: &'a str,
+    /// The text from absolute offset `base` on.
+    text: Cow<'a, str>,
+    /// The cursor, an index into `text`.
     pos: usize,
+    base: usize,
+    /// The stream behind an owned window, until its end or first error.
+    src: Option<&'a mut dyn io::Read>,
+    /// `raw[raw_start..raw_end]` was read but is not in the window yet:
+    /// what did not fit, or the start of a code point split across
+    /// reads.
+    raw: Vec<u8>,
+    raw_start: usize,
+    raw_end: usize,
+    /// The stream's first failure: an I/O error or invalid UTF-8.
+    io_error: Option<Error>,
+    /// Spare key buffers: each open object holds one for its keys.
+    keys: Vec<String>,
 }
 
 impl<'a> Reader<'a> {
     /// A cursor at the start of `src`.
     pub fn new(src: &'a str) -> Self {
-        Self { src, pos: 0 }
+        Self {
+            text: Cow::Borrowed(src),
+            pos: 0,
+            base: 0,
+            src: None,
+            raw: Vec::new(),
+            raw_start: 0,
+            raw_end: 0,
+            io_error: None,
+            keys: Vec::new(),
+        }
+    }
+
+    /// A cursor at the start of what `src` reads.
+    pub fn from_read(src: &'a mut dyn io::Read) -> Self {
+        Self {
+            text: Cow::Owned(String::with_capacity(READ_WINDOW)),
+            src: Some(src),
+            raw: vec![0; READ_WINDOW],
+            ..Self::new("")
+        }
+    }
+
+    /// Reads one whole document as `T`: the value, then nothing but
+    /// whitespace to the end of the input. As with `read_to_string`, an
+    /// input that cannot be read or is not UTF-8 is an I/O error
+    /// wherever the fault lies, so after any other error the rest of
+    /// the input is read and checked too.
+    pub fn document<T: crate::Deserialize>(mut self) -> Result<T, Error> {
+        let value = T::deserialize_json(&mut self).and_then(|v| self.finish().map(|()| v));
+        if value.is_err() {
+            loop {
+                self.pos = self.text.len();
+                if !self.fill() {
+                    break;
+                }
+            }
+        }
+        self.io_error.take().map_or(value, Err)
     }
 
     /// Ends the document: only whitespace may follow the value read.
-    pub fn finish(&mut self) -> Result<(), Error> {
+    fn finish(&mut self) -> Result<(), Error> {
         self.skip_ws();
-        if self.pos == self.src.len() {
+        if self.pos == self.text.len() {
             Ok(())
         } else {
             Err(Error::msg(format!(
                 "trailing characters at byte {}",
-                self.pos
+                self.offset()
             )))
         }
     }
@@ -469,42 +561,41 @@ impl<'a> Reader<'a> {
         self.number_as("integer", Value::as_i64)
     }
 
-    /// Reads a string: borrowed from the input unless it holds escapes.
-    pub fn str(&mut self) -> Result<Cow<'a, str>, Error> {
+    /// Reads a string: borrowed from the window unless it holds escapes.
+    pub fn str(&mut self) -> Result<Cow<'_, str>, Error> {
         self.skip_ws();
         if self.byte() != Some(b'"') {
             return Err(self.mismatch("string"));
         }
-        self.pos += 1;
-        // The unescaped run being read, and the text before it once an
-        // escape forced a copy. `"` and `\` are ASCII, so every cut is
-        // a char boundary.
-        let mut run = self.pos;
-        let mut decoded: Option<String> = None;
+        // Find the closing quote first, so that the window is refilled
+        // before anything is decoded. A refill moves the string to the
+        // window's start; the scan goes on where it stopped.
+        let (mut len, mut escaped) = (1, false);
         loop {
-            match self.byte() {
-                None => return Err(Error::msg("unterminated string")),
-                Some(b'"') => {
-                    let tail = &self.src[run..self.pos];
-                    self.pos += 1;
-                    return Ok(match decoded {
-                        None => Cow::Borrowed(tail),
-                        Some(mut text) => {
-                            text.push_str(tail);
-                            Cow::Owned(text)
-                        }
-                    });
+            let bytes = &self.text.as_bytes()[self.pos..];
+            while len < bytes.len() {
+                match bytes[len] {
+                    b'"' => break,
+                    b'\\' => (len, escaped) = (len + 2, true),
+                    _ => len += 1,
                 }
-                Some(b'\\') => {
-                    let text = decoded.get_or_insert_with(String::new);
-                    text.push_str(&self.src[run..self.pos]);
-                    self.pos += 1;
-                    self.escape(text)?;
-                    run = self.pos;
-                }
-                Some(_) => self.pos += 1,
+            }
+            if len < bytes.len() {
+                break;
+            }
+            if !self.fill() {
+                return Err(Error::msg("unterminated string"));
             }
         }
+        let content = self.pos + 1..self.pos + len;
+        self.pos += len + 1;
+        let content = &self.text[content];
+        if !escaped {
+            return Ok(Cow::Borrowed(content));
+        }
+        let mut text = String::with_capacity(content.len());
+        unescape(content, &mut text)?;
+        Ok(Cow::Owned(text))
     }
 
     /// Reads an array, calling `item` once per element; `item` must
@@ -535,10 +626,16 @@ impl<'a> Reader<'a> {
         if self.eat(b'}') {
             return Ok(());
         }
+        // Reading the entry's value may refill the window under its key,
+        // so the key is copied out, into one buffer per open object.
+        let mut key = self.keys.pop().unwrap_or_default();
         loop {
-            let key = self.key()?;
+            key.clear();
+            key.push_str(&self.str()?);
+            self.colon()?;
             entry(self, &key)?;
             if !self.more(b'}')? {
+                self.keys.push(key);
                 return Ok(());
             }
         }
@@ -560,7 +657,8 @@ impl<'a> Reader<'a> {
                     self.pos += 1;
                     if !self.eat(b'}') {
                         open.push(true);
-                        self.key()?;
+                        self.str()?;
+                        self.colon()?;
                         continue;
                     }
                 }
@@ -593,7 +691,8 @@ impl<'a> Reader<'a> {
                 };
                 if self.more(if in_object { b'}' } else { b']' })? {
                     if in_object {
-                        self.key()?;
+                        self.str()?;
+                        self.colon()?;
                     }
                     break;
                 }
@@ -613,7 +712,7 @@ impl<'a> Reader<'a> {
         match self.byte() {
             Some(b'{' | b'[') if depth == MAX_DEPTH => Err(Error::msg(format!(
                 "nesting deeper than {MAX_DEPTH} levels at byte {}",
-                self.pos
+                self.offset()
             ))),
             Some(b'{') => {
                 let mut entries = Vec::new();
@@ -632,7 +731,7 @@ impl<'a> Reader<'a> {
                 Ok(Value::Array(items))
             }
             Some(b'"') => Ok(Value::Str(self.str()?.into_owned())),
-            Some(b'-' | b'0'..=b'9') => self.number("value"),
+            Some(b'-' | b'0'..=b'9') => self.number_as("value", |n| Some(n.clone())),
             _ if self.eat_keyword("null") => Ok(Value::Null),
             _ if self.eat_keyword("true") => Ok(Value::Bool(true)),
             _ if self.eat_keyword("false") => Ok(Value::Bool(false)),
@@ -640,18 +739,101 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// The absolute input offset of the cursor.
+    fn offset(&self) -> usize {
+        self.base + self.pos
+    }
+
     fn byte(&self) -> Option<u8> {
-        self.src.as_bytes().get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Adds at least one character of the stream to the window, first
+    /// dropping the text before the cursor. Returns `false`, leaving
+    /// the window as it was, at the end of the input, and always for a
+    /// borrowed window.
+    ///
+    /// Text goes into the window as far as it fits, and the window
+    /// grows only when the unread text and the next character do not
+    /// fit. So where the reads split the input changes neither the
+    /// window's size nor what is allocated.
+    fn fill(&mut self) -> bool {
+        let (Some(src), Cow::Owned(text)) = (self.src.as_mut(), &mut self.text) else {
+            return false;
+        };
+        loop {
+            let pending = &self.raw[self.raw_start..self.raw_end];
+            let room = text.capacity() - (text.len() - self.pos);
+            let fits = &pending[..pending.len().min(room)];
+            let valid = match std::str::from_utf8(fits) {
+                Ok(valid) => valid,
+                // A code point cut by the end of `fits`.
+                Err(e) if e.error_len().is_none() => {
+                    std::str::from_utf8(&fits[..e.valid_up_to()]).unwrap_or_default()
+                }
+                Err(_) => return self.fail(invalid_utf8()),
+            };
+            if !valid.is_empty() {
+                text.drain(..self.pos);
+                self.base += self.pos;
+                self.pos = 0;
+                text.push_str(valid);
+                self.raw_start += valid.len();
+                return true;
+            }
+            if pending.len() > room {
+                // One token fills the window: double it.
+                text.reserve(text.capacity());
+                continue;
+            }
+            // Nothing is pending but the start of a code point: read.
+            self.raw.copy_within(self.raw_start..self.raw_end, 0);
+            self.raw_end -= self.raw_start;
+            self.raw_start = 0;
+            match src.read(&mut self.raw[self.raw_end..]) {
+                Ok(0) if self.raw_end > 0 => return self.fail(invalid_utf8()),
+                Ok(0) => {
+                    self.src = None;
+                    return false;
+                }
+                Ok(n) => self.raw_end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return self.fail(e),
+            }
+        }
+    }
+
+    /// Ends the stream at its first failure, which
+    /// [`Reader::document`] reports in place of whatever error the
+    /// early end causes.
+    fn fail(&mut self, e: io::Error) -> bool {
+        self.io_error = Some(Error::io(&e));
+        self.src = None;
+        false
+    }
+
+    /// Fills the window until it holds `n` bytes past the cursor or the
+    /// input ends.
+    fn lookahead(&mut self, n: usize) {
+        while self.text.len() - self.pos < n && self.fill() {}
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+        loop {
+            let rest = &self.text.as_bytes()[self.pos..];
+            self.pos += rest
+                .iter()
+                .take_while(|&&b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+                .count();
+            if self.pos < self.text.len() || !self.fill() {
+                return;
+            }
         }
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.src.as_bytes()[self.pos..].starts_with(kw.as_bytes()) {
+        self.lookahead(kw.len());
+        if self.text.as_bytes()[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
             true
         } else {
@@ -688,146 +870,100 @@ impl<'a> Reader<'a> {
         } else {
             Err(Error::msg(format!(
                 "expected `,` or `{}` at byte {}",
-                close as char, self.pos
+                close as char,
+                self.offset()
             )))
         }
     }
 
-    /// An object key and the `:` after it.
-    fn key(&mut self) -> Result<Cow<'a, str>, Error> {
-        let key = self.str()?;
+    /// The `:` after an object key.
+    fn colon(&mut self) -> Result<(), Error> {
         if self.eat(b':') {
-            Ok(key)
+            Ok(())
         } else {
-            Err(Error::msg(format!("expected `:` at byte {}", self.pos)))
+            Err(Error::msg(format!(
+                "expected `:` at byte {}",
+                self.offset()
+            )))
         }
     }
 
-    /// The escape after a `\` inside a string.
-    fn escape(&mut self, out: &mut String) -> Result<(), Error> {
-        let Some(esc) = self.byte() else {
-            return Err(Error::msg("unterminated escape"));
-        };
-        self.pos += 1;
-        match esc {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'n' => out.push('\n'),
-            b't' => out.push('\t'),
-            b'r' => out.push('\r'),
-            b'b' => out.push('\u{8}'),
-            b'f' => out.push('\u{c}'),
-            b'u' => {
-                let hex = self
-                    .src
-                    .get(self.pos..self.pos + 4)
-                    .ok_or_else(|| Error::msg("truncated \\u escape"))?;
-                self.pos += 4;
-                let code =
-                    u32::from_str_radix(hex, 16).map_err(|_| Error::msg("invalid \\u escape"))?;
-                // Surrogate pairs are not produced by our writer; map
-                // lone surrogates to the replacement char.
-                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-            }
-            other => return Err(Error::msg(format!("invalid escape `\\{}`", other as char))),
-        }
-        Ok(())
-    }
-
-    /// Scans one number by the JSON grammar (RFC 8259 §6) without
-    /// converting it, and returns its text and whether it has a fraction
-    /// or an exponent. Leading zeros (`01`), a `.` or exponent without
-    /// digits (`1.`, `1.e5`, `1e`) and a number running into another
-    /// number character (`1.2.3`) are errors. Decoding and
-    /// [`Reader::skip_value`] share it, so skipping accepts exactly
-    /// what decoding does.
-    fn scan_number(&mut self, expected: &str) -> Result<(&'a str, bool), Error> {
+    /// Scans the number at the cursor by the JSON grammar without
+    /// converting it (see [`number_extent`]), moves the cursor past it
+    /// and returns where it lies in the window and whether it has a
+    /// fraction or an exponent. Decoding and [`Reader::skip_value`]
+    /// share it, so skipping accepts exactly what decoding does.
+    fn scan_number(&mut self, expected: &str) -> Result<(usize, usize, bool), Error> {
         self.skip_ws();
-        let bytes = self.src.as_bytes();
-        let start = self.pos;
-        let digits = |from: usize| {
-            from + bytes[from..]
-                .iter()
-                .take_while(|b| b.is_ascii_digit())
-                .count()
-        };
-        let mut end = start + usize::from(bytes.get(start) == Some(&b'-'));
-        match bytes.get(end) {
-            Some(b'0') => end += 1,
-            Some(b'1'..=b'9') => end = digits(end + 1),
-            _ if end == start => return Err(self.mismatch(expected)),
-            _ => return Err(self.invalid_number(start)),
+        if !matches!(self.byte(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.mismatch(expected));
         }
-        let mut is_float = false;
-        if bytes.get(end) == Some(&b'.') {
-            let frac_end = digits(end + 1);
-            if frac_end == end + 1 {
-                return Err(self.invalid_number(start));
+        loop {
+            let bytes = self.text.as_bytes();
+            let (end, is_float) = number_extent(bytes, self.pos);
+            // A number that runs to the window's end may go on past it.
+            if end == bytes.len() && self.fill() {
+                continue;
             }
-            (end, is_float) = (frac_end, true);
+            let Some(is_float) = is_float else {
+                return Err(self.invalid_number());
+            };
+            let start = self.pos;
+            self.pos = end;
+            return Ok((start, end, is_float));
         }
-        if matches!(bytes.get(end), Some(b'e' | b'E')) {
-            let exp_start = end + 1 + usize::from(matches!(bytes.get(end + 1), Some(b'+' | b'-')));
-            let exp_end = digits(exp_start);
-            if exp_end == exp_start {
-                return Err(self.invalid_number(start));
-            }
-            (end, is_float) = (exp_end, true);
-        }
-        if bytes.get(end).copied().is_some_and(is_number_byte) {
-            return Err(self.invalid_number(start));
-        }
-        self.pos = end;
-        Ok((&self.src[start..end], is_float))
     }
 
     /// "invalid number `…` at byte N", quoting the run of number
-    /// characters at `start`.
-    fn invalid_number(&self, start: usize) -> Error {
-        let rest = &self.src[start..];
-        let run = rest.bytes().take_while(|&b| is_number_byte(b)).count();
-        Error::msg(format!("invalid number `{}` at byte {start}", &rest[..run]))
+    /// characters at the cursor.
+    fn invalid_number(&mut self) -> Error {
+        let run = loop {
+            let rest = &self.text.as_bytes()[self.pos..];
+            let run = rest.iter().take_while(|&&b| is_number_byte(b)).count();
+            if run < rest.len() || !self.fill() {
+                break run;
+            }
+        };
+        Error::msg(format!(
+            "invalid number `{}` at byte {}",
+            &self.text[self.pos..self.pos + run],
+            self.offset()
+        ))
     }
 
-    /// Reads a number as [`Value::UInt`], [`Value::Int`] or
-    /// [`Value::Num`]: integers without a fraction or exponent stay
-    /// exact, everything else goes through `f64`.
-    fn number(&mut self, expected: &str) -> Result<Value, Error> {
-        let (text, is_float) = self.scan_number(expected)?;
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::UInt(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Int(i));
-            }
-        }
-        text.parse::<f64>().map(Value::Num).map_err(|_| {
-            let start = self.pos - text.len();
-            Error::msg(format!("invalid number `{text}` at byte {start}"))
-        })
-    }
-
+    /// Reads a number and converts it with `convert`, through a
+    /// [`Value::UInt`], [`Value::Int`] or [`Value::Num`]: integers
+    /// without a fraction or exponent stay exact, everything else goes
+    /// through `f64`.
     fn number_as<T>(
         &mut self,
         expected: &str,
         convert: impl FnOnce(&Value) -> Option<T>,
     ) -> Result<T, Error> {
-        self.skip_ws();
-        let start = self.pos;
-        let n = self.number(expected)?;
-        convert(&n).ok_or_else(|| {
-            Error::msg(format!(
-                "expected {expected}, found `{}` at byte {start}",
-                &self.src[start..self.pos]
-            ))
-        })
+        let (start, end, is_float) = self.scan_number(expected)?;
+        let text = &self.text[start..end];
+        let at = self.base + start;
+        let mut n = None;
+        if !is_float {
+            n = (text.parse::<u64>().map(Value::UInt))
+                .or_else(|_| text.parse::<i64>().map(Value::Int))
+                .ok();
+        }
+        let n = match n {
+            Some(n) => n,
+            None => text
+                .parse::<f64>()
+                .map(Value::Num)
+                .map_err(|_| Error::msg(format!("invalid number `{text}` at byte {at}")))?,
+        };
+        convert(&n)
+            .ok_or_else(|| Error::msg(format!("expected {expected}, found `{text}` at byte {at}")))
     }
 
     /// "expected X, found Y at byte N" for the token at the cursor.
-    fn mismatch(&self, expected: &str) -> Error {
-        let rest = &self.src[self.pos..];
+    fn mismatch(&mut self, expected: &str) -> Error {
+        self.lookahead("false".len());
+        let rest = &self.text[self.pos..];
         let found = match rest.as_bytes().first() {
             None => "end of input".to_owned(),
             Some(b'{') => "object".to_owned(),
@@ -840,9 +976,109 @@ impl<'a> Reader<'a> {
         };
         Error::msg(format!(
             "expected {expected}, found {found} at byte {}",
-            self.pos
+            self.offset()
         ))
     }
+}
+
+/// The error `read_to_string` gives for input that is not UTF-8.
+fn invalid_utf8() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        "stream did not contain valid UTF-8",
+    )
+}
+
+/// Scans the number at `bytes[start]`, a `-` or a digit, by the JSON
+/// grammar (RFC 8259 §6). Returns the index of the first byte not
+/// taken and, if the bytes before it are a number, whether it has a
+/// fraction or an exponent. Leading zeros (`01`), a `.` or exponent
+/// without digits (`1.`, `1.e5`, `1e`) and a number running into
+/// another number character (`1.2.3`) are not numbers. The index is
+/// `bytes.len()` exactly when more bytes could change the answer.
+fn number_extent(bytes: &[u8], start: usize) -> (usize, Option<bool>) {
+    let digits = |from: usize| {
+        from + bytes[from..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count()
+    };
+    let mut end = start + usize::from(bytes[start] == b'-');
+    match bytes.get(end) {
+        Some(b'0') => end += 1,
+        Some(b'1'..=b'9') => end = digits(end + 1),
+        _ => return (end, None),
+    }
+    let mut is_float = false;
+    if bytes.get(end) == Some(&b'.') {
+        let frac_end = digits(end + 1);
+        if frac_end == end + 1 {
+            return (frac_end, None);
+        }
+        (end, is_float) = (frac_end, true);
+    }
+    if matches!(bytes.get(end), Some(b'e' | b'E')) {
+        let exp_start = end + 1 + usize::from(matches!(bytes.get(end + 1), Some(b'+' | b'-')));
+        let exp_end = digits(exp_start);
+        if exp_end == exp_start {
+            return (exp_end, None);
+        }
+        (end, is_float) = (exp_end, true);
+    }
+    if bytes.get(end).copied().is_some_and(is_number_byte) {
+        return (end, None);
+    }
+    (end, Some(is_float))
+}
+
+/// Appends `content`, the text between a string's quotes, to `out` with
+/// its escapes decoded. A UTF-16 surrogate pair, `\ud83d\ude00`
+/// for U+1F600, is one character (RFC 8259 §7); a lone surrogate
+/// becomes U+FFFD.
+fn unescape(content: &str, out: &mut String) -> Result<(), Error> {
+    let mut rest = content;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        let mut escape = rest[at + 1..].chars();
+        let Some(esc) = escape.next() else {
+            return Err(Error::msg("unterminated escape"));
+        };
+        rest = escape.as_str();
+        match esc {
+            '"' => out.push('"'),
+            '\\' => out.push('\\'),
+            '/' => out.push('/'),
+            'n' => out.push('\n'),
+            't' => out.push('\t'),
+            'r' => out.push('\r'),
+            'b' => out.push('\u{8}'),
+            'f' => out.push('\u{c}'),
+            'u' => {
+                let code = hex4(rest)?;
+                rest = &rest[4..];
+                let low = rest.strip_prefix("\\u").and_then(|r| hex4(r).ok());
+                let c = match (code, low) {
+                    (0xD800..=0xDBFF, Some(low @ 0xDC00..=0xDFFF)) => {
+                        rest = &rest[6..];
+                        char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
+                    }
+                    _ => char::from_u32(code),
+                };
+                out.push(c.unwrap_or('\u{fffd}'));
+            }
+            other => return Err(Error::msg(format!("invalid escape `\\{other}`"))),
+        }
+    }
+    out.push_str(rest);
+    Ok(())
+}
+
+/// The code unit of the four hex digits a `\u` escape starts `s` with.
+fn hex4(s: &str) -> Result<u32, Error> {
+    let hex = s
+        .get(..4)
+        .ok_or_else(|| Error::msg("truncated \\u escape"))?;
+    u32::from_str_radix(hex, 16).map_err(|_| Error::msg("invalid \\u escape"))
 }
 
 /// A byte that can occur in a JSON number.

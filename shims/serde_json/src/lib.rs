@@ -30,23 +30,20 @@ pub fn to_writer<W: std::io::Write, T: serde::Serialize + ?Sized>(
 ) -> Result<(), Error> {
     let mut w = Writer::streaming(&mut writer);
     value.serialize_json(&mut w);
-    w.finish().map_err(|e| Error::msg(format!("io error: {e}")))
+    w.finish().map_err(|e| Error::io(&e))
 }
 
 /// Decodes a value from a JSON string in one pass; anything but
 /// whitespace after the value is an error.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
-    let mut r = Reader::new(s);
-    let value = T::deserialize_json(&mut r)?;
-    r.finish()?;
-    Ok(value)
+    Reader::new(s).document()
 }
 
-/// Parses a value from a JSON reader.
+/// Decodes a value from a JSON reader in one pass, through a window of
+/// about [`serde::json::READ_WINDOW`] bytes: the whole text is never
+/// held in memory. Accepts and rejects what [`from_str`] does, with
+/// the same messages; input that cannot be read or is not UTF-8 is an
+/// error of [`Error::io_error_kind`] `Some`.
 pub fn from_reader<R: std::io::Read, T: serde::Deserialize>(mut reader: R) -> Result<T, Error> {
-    let mut buf = String::new();
-    reader
-        .read_to_string(&mut buf)
-        .map_err(|e| Error::msg(format!("io error: {e}")))?;
-    from_str(&buf)
+    Reader::from_read(&mut reader).document()
 }

@@ -1,10 +1,106 @@
 //! The typed decode contract: what `from_str` accepts and rejects for
 //! derived structs and enums, std containers and scalars, and where the
-//! untyped `parse` stops nesting; and that `to_writer` streams the same
-//! bytes as `to_string`.
+//! untyped `parse` stops nesting; that `from_reader` decodes exactly as
+//! `from_str` does wherever its reads split the text; and that
+//! `to_writer` streams the same bytes as `to_string`.
 
+use std::io::{self, Read};
+
+use serde::json::READ_WINDOW;
 use serde::{Deserialize, Serialize};
-use serde_json::{from_str, parse, to_string, Value};
+use serde_json::{to_string, Error, Value};
+
+/// A source that returns 1 to 7 bytes per read, in a pattern fixed by
+/// its seed, so that the tokens of a text straddle the refills of the
+/// reader's window.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    state: u64,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.state = self
+            .state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let n = (1 + (self.state >> 33) as usize % 7)
+            .min(buf.len())
+            .min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// A source that returns the text in two reads, split at `at`.
+struct Split<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Read for Split<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.at.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        self.at = usize::MAX;
+        Ok(n)
+    }
+}
+
+/// Asserts that two decodes of `text` agree: on the value (compared by
+/// its encoding), or on the error message, byte offset included.
+fn assert_agree<T: Serialize>(text: &str, a: &Result<T, Error>, b: &Result<T, Error>, how: &str) {
+    match (a, b) {
+        (Ok(a), Ok(b)) => assert_eq!(
+            to_string(a).unwrap(),
+            to_string(b).unwrap(),
+            "{how}: {text}"
+        ),
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{how}: {text}"),
+        _ => panic!(
+            "{how}: from_str is_ok {} but from_reader is_ok {} on {text}",
+            a.is_ok(),
+            b.is_ok()
+        ),
+    }
+}
+
+/// `serde_json::from_str`, checked against `from_reader` through
+/// [`Trickle`] sources of two seeds: every document of this contract
+/// decodes the same through a window refilled every few bytes.
+fn from_str<T: Serialize + Deserialize>(text: &str) -> Result<T, Error> {
+    let whole = serde_json::from_str::<T>(text);
+    for seed in [1, 2] {
+        let streamed = serde_json::from_reader::<_, T>(Trickle {
+            bytes: text.as_bytes(),
+            state: seed,
+        });
+        assert_agree(text, &whole, &streamed, &format!("trickle seed {seed}"));
+    }
+    whole
+}
+
+/// `serde_json::parse`, checked the same way as [`from_str`].
+fn parse(text: &str) -> Result<Value, Error> {
+    let whole = serde_json::parse(text);
+    assert_agree(text, &whole, &from_str::<Value>(text), "parse");
+    whole
+}
+
+/// Decodes `text` through a window refilled at each byte in turn; every
+/// split must agree with `from_str`.
+fn assert_every_split_agrees<T: Serialize + Deserialize>(text: &str) {
+    let whole = serde_json::from_str::<T>(text);
+    for at in 1..text.len() {
+        let streamed = serde_json::from_reader::<_, T>(Split {
+            bytes: text.as_bytes(),
+            at,
+        });
+        assert_agree(text, &whole, &streamed, &format!("split at {at}"));
+    }
+}
 
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct Record {
@@ -243,6 +339,20 @@ fn escaped_keys_and_strings() {
     let r: Record = from_str(r#"{"\u0069d":4,"n\u006fte":"a\"b\\c\/d\n\té\ud800"}"#).unwrap();
     assert_eq!(r.id, 4);
     assert_eq!(r.note.as_deref(), Some("a\"b\\c/d\n\té\u{fffd}"));
+    // A surrogate pair is one character; a lone surrogate of either
+    // half is U+FFFD, and the escape after it decodes on its own.
+    for (escaped, decoded) in [
+        (r#""\ud83d\ude00""#, "\u{1f600}"),
+        (r#""\uD83D\uDE00!""#, "\u{1f600}!"),
+        (r#""\ude00""#, "\u{fffd}"),
+        (r#""\ud83d x""#, "\u{fffd} x"),
+        (r#""\ud83d\u0041""#, "\u{fffd}A"),
+        (r#""\ud83d\ud83d\ude00""#, "\u{fffd}\u{1f600}"),
+        (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+    ] {
+        assert_eq!(from_str::<String>(escaped).unwrap(), decoded, "{escaped}");
+    }
+    assert!(from_str::<String>(r#""\ud83d\uzzzz""#).is_err());
     let odd = "quote \" backslash \\ newline \n tab \t bell \u{7} é 🚀";
     let back: String = from_str(&to_string(odd).unwrap()).unwrap();
     assert_eq!(back, odd);
@@ -377,4 +487,131 @@ fn to_writer_reports_a_failing_sink() {
         written: 0,
     };
     assert!(serde_json::to_writer(&mut sink, &[1u32, 2, 3]).is_err());
+}
+
+#[test]
+fn a_refill_inside_any_token_changes_nothing() {
+    // Numbers, escapes, a `\u` escape and a surrogate pair, a code point
+    // of each UTF-8 length, keywords, and errors with their offsets.
+    let ok = r#"{"id":12345,"power":-1.25e-3,"note":"a\"b\\cé😀 é€🚀"}"#;
+    assert_every_split_agrees::<Record>(ok);
+    let r: Record = serde_json::from_reader(Split {
+        bytes: ok.as_bytes(),
+        at: 30,
+    })
+    .unwrap();
+    assert_eq!((r.id, r.power), (12345, -1.25e-3));
+    assert_eq!(r.note.as_deref(), Some("a\"b\\c\u{e9}\u{1f600} é€🚀"));
+    assert_every_split_agrees::<Value>(r#" [true, false, null, 1.5e10, -0, {"k": []}] "#);
+    for bad in [
+        r#"{"id":1} x"#,
+        r#"{"id":1,"power":1.2.3}"#,
+        r#"{"id":1,"power":01}"#,
+        r#"{"id":1,"extra":"\q"}"#,
+        r#"{"id":1,"extra":[1,}"#,
+        r#"{"id":1,"power":nul}"#,
+        r#"{"id":1 "power":1}"#,
+        r#"{"id":true}"#,
+        r#"{"id":1,"note":"abc"#,
+    ] {
+        assert!(serde_json::from_str::<Record>(bad).is_err(), "{bad}");
+        assert_every_split_agrees::<Record>(bad);
+    }
+    let err = serde_json::from_reader::<_, Record>(Split {
+        bytes: br#"{"id":1} x"#,
+        at: 9,
+    })
+    .unwrap_err();
+    assert!(
+        err.to_string().contains("trailing characters at byte 9"),
+        "{err}"
+    );
+}
+
+#[test]
+fn tokens_longer_than_the_window_decode() {
+    let long = "é\\n".repeat(READ_WINDOW / 2);
+    let text = format!(
+        r#"{{"id":1,"note":"{long}","power":0.{}}}"#,
+        "3".repeat(READ_WINDOW + 7)
+    );
+    assert!(text.len() > 2 * READ_WINDOW);
+    let whole: Record = serde_json::from_str(&text).unwrap();
+    assert_eq!(
+        whole.note.as_deref(),
+        Some("é\n".repeat(READ_WINDOW / 2).as_str())
+    );
+    for at in [
+        1,
+        7,
+        READ_WINDOW - 1,
+        READ_WINDOW,
+        READ_WINDOW + 1,
+        text.len() - 2,
+    ] {
+        let streamed: Record = serde_json::from_reader(Split {
+            bytes: text.as_bytes(),
+            at,
+        })
+        .unwrap();
+        assert_eq!(
+            to_string(&streamed).unwrap(),
+            to_string(&whole).unwrap(),
+            "{at}"
+        );
+    }
+    // The same as an unknown key, skipped.
+    let skipped = format!(
+        r#"{{"id":1,"extra":["{long}",1{}],"power":0.5}}"#,
+        "0".repeat(READ_WINDOW)
+    );
+    let r: Record = serde_json::from_reader(skipped.as_bytes()).unwrap();
+    assert_eq!((r.id, r.power), (1, 0.5));
+}
+
+#[test]
+fn invalid_utf8_is_an_io_error_wherever_it_lies() {
+    let kind = |bytes: &[u8]| {
+        let whole = serde_json::from_reader::<_, Record>(bytes).unwrap_err();
+        let trickled =
+            serde_json::from_reader::<_, Record>(Trickle { bytes, state: 3 }).unwrap_err();
+        assert_eq!(whole.to_string(), trickled.to_string());
+        whole.io_error_kind()
+    };
+    let invalid = Some(io::ErrorKind::InvalidData);
+    // Inside a skipped key's value, a decoded string, after a syntax
+    // error, after the document, and a code point cut off by the end.
+    assert_eq!(
+        kind(b"{\"id\":1,\"extra\":\"\xff\",\"power\":1.0}"),
+        invalid
+    );
+    assert_eq!(kind(b"{\"id\":1,\"note\":\"caf\xc3\"}"), invalid);
+    assert_eq!(kind(b"{\"id\":x,\"extra\":\"\xfe\"}"), invalid);
+    assert_eq!(kind(b"{\"id\":1}   \xff"), invalid);
+    assert_eq!(kind(b"{\"id\":1,\"note\":\"\xe2\x82"), invalid);
+    // Valid text is no I/O error.
+    assert_eq!(kind(b"{\"id\":1,\"note\":\"caf\xc3\xa9\""), None);
+}
+
+#[test]
+fn a_failing_source_is_an_io_error() {
+    /// Returns a few bytes, then fails.
+    struct Broken(usize);
+    impl Read for Broken {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.0 == 0 {
+                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "gone"));
+            }
+            self.0 -= 1;
+            buf[0] = b'[';
+            Ok(1)
+        }
+    }
+    let err = serde_json::from_reader::<_, Value>(Broken(3)).unwrap_err();
+    assert_eq!(
+        err.io_error_kind(),
+        Some(io::ErrorKind::UnexpectedEof),
+        "{err}"
+    );
+    assert!(err.to_string().contains("gone"), "{err}");
 }
